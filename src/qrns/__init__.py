@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .adders import (
     AdderFamily,
     AdderInstance,
-    Dim1Value,
     adder_instance,
     build_adder,
     build_for_modulus,
@@ -52,7 +51,6 @@ from .noise import (
     CalibrationResult,
     NoiseModel,
     ProbabilityEstimate,
-    RunSpec,
     calibrate_noise,
     derive_seed,
     output_probability,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -57,52 +58,32 @@ def family_modulus(family: AdderFamily, n: int) -> int | None:
 
 
 def classical_mod_add(a: int, b: int, m: int) -> int:
-    """Modular sum of two residues: a+b below m, 0 at m, reduced above."""
+    """Modular sum of two residues in [0, m)."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     if not (0 <= a < m and 0 <= b < m):
         raise ValueError(f"inputs must lie in [0, {m}), got {a}, {b}")
-    total = a + b
-    if total < m:
-        return total
-    if total == m:
-        return 0
-    return total % m
+    return (a + b) % m
 
 
-@dataclass(frozen=True)
-class Dim1Value:
-    """Diminished-1 codeword for modulo (2^n + 1) arithmetic.
+def dim1_encode(value: int, n: int) -> int:
+    """Diminished-1 codeword of ``value`` for modulo (2^n + 1) arithmetic.
 
     Values 1..2^n are stored as value-1 on the low n bits; 0 is stored as
     2^n, i.e. only the MSB set.  The MSB therefore flags zero.
     """
-
-    n: int
-    bits: int
-
-    @property
-    def value(self) -> int:
-        return 0 if self.bits >> self.n else self.bits + 1
-
-
-def dim1_encode(value: int, n: int) -> Dim1Value:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= value <= 2**n:
         raise ValueError(f"value {value} outside [0, {2**n}]")
-    bits = 2**n if value == 0 else value - 1
-    return Dim1Value(n=n, bits=bits)
+    return 2**n if value == 0 else value - 1
 
 
-def dim1_decode(encoded: Dim1Value) -> int:
-    if not (encoded.bits == 2**encoded.n or 0 <= encoded.bits < 2**encoded.n):
-        raise ValueError(f"{encoded.bits:#x} is not a diminished-1 codeword")
-    return encoded.value
-
-
-def dim1_decode_bits(bits: int, n: int) -> int:
-    return dim1_decode(Dim1Value(n=n, bits=bits))
+def dim1_decode(bits: int, n: int) -> int:
+    """Value of an (n+1)-bit diminished-1 codeword; inverse of dim1_encode."""
+    if not (bits == 2**n or 0 <= bits < 2**n):
+        raise ValueError(f"{bits:#x} is not a diminished-1 codeword")
+    return 0 if bits >> n else bits + 1
 
 
 # --- shared ripple-carry core --------------------------------------------
@@ -387,9 +368,11 @@ def build_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> Circuit:
 class AdderInstance:
     """A built circuit plus the value-level semantics needed to drive it.
 
-    Bridges integers to wires: packs (a, b) into the input registers
-    (diminished-1 encoded for the 2^n+1 family), reads the measured output
-    register, and supplies the classical expected value per input pair.
+    The register tags give the wiring: operand B is register ``B``,
+    operand A is every other ``input`` register in order (the 2^n+1 family
+    splits it into ALOW and AMSB), and the ``output`` registers in order
+    form the measured value.  Only the operand codec depends on the
+    family: the 2^n+1 family carries diminished-1 codewords.
     """
 
     circuit: Circuit
@@ -403,48 +386,52 @@ class AdderInstance:
     @property
     def value_count(self) -> int:
         """Number of legal input values for each operand."""
-        if self.family is AdderFamily.FULL:
-            return 2**self.n
-        if self.family is AdderFamily.MOD_POW2_MINUS1:
-            return self.modulus  # residues 0..2^n-2
-        if self.family is AdderFamily.MOD_POW2_PLUS1:
-            return self.modulus  # values 0..2^n
-        return self.modulus
+        return self.modulus or 2**self.n
 
-    @property
+    @cached_property
+    def _a_registers(self) -> tuple[Register, ...]:
+        return tuple(reg for reg in self.circuit.registers_tagged(TAG_INPUT)
+                     if reg.name != "B")
+
+    @cached_property
     def a_wires(self) -> tuple[int, ...]:
-        if self.family is AdderFamily.MOD_POW2_PLUS1:
-            return self.circuit.register("ALOW").qubits + self.circuit.register("AMSB").qubits
-        return self.circuit.register("A").qubits
+        return tuple(q for reg in self._a_registers for q in reg.qubits)
 
-    @property
+    @cached_property
     def b_wires(self) -> tuple[int, ...]:
         return self.circuit.register("B").qubits
 
-    @property
+    @cached_property
     def output_wires(self) -> tuple[int, ...]:
-        if self.family is AdderFamily.FULL:
-            return self.circuit.register("B").qubits + self.circuit.register("COUT").qubits
-        if self.family is AdderFamily.MOD_POW2_PLUS1:
-            return self.circuit.register("ALOW").qubits + self.circuit.register("MTOP").qubits
-        return self.circuit.register("B").qubits
+        return tuple(q for reg in self.circuit.registers_tagged(TAG_OUTPUT)
+                     for q in reg.qubits)
 
     def encode_operand(self, value: int) -> int:
         if self.family is AdderFamily.MOD_POW2_PLUS1:
-            return dim1_encode(value, self.n).bits
+            return dim1_encode(value, self.n)
         return value
 
     def decode_output(self, bits: int) -> int:
         if self.family is AdderFamily.MOD_POW2_PLUS1:
-            return dim1_decode_bits(bits, self.n)
+            return dim1_decode(bits, self.n)
         return bits
 
     def expected_output_bits(self, a: int, b: int) -> int:
         """Oracle value of the measured register for legal inputs a, b."""
-        if self.family is AdderFamily.FULL:
+        if self.modulus is None:
             return a + b
-        result = classical_mod_add(a, b, self.modulus)
-        return self.encode_operand(result) if self.family is AdderFamily.MOD_POW2_PLUS1 else result
+        return self.encode_operand(classical_mod_add(a, b, self.modulus))
+
+    def operand_inputs(self, a: int, b: int) -> dict[str, int]:
+        """Per-register values for run_shots: encoded A spread LSB first
+        over its registers, encoded B on register B."""
+        inputs = {}
+        bits = self.encode_operand(a)
+        for reg in self._a_registers:
+            inputs[reg.name] = bits % 2**reg.size
+            bits >>= reg.size
+        inputs["B"] = self.encode_operand(b)
+        return inputs
 
     def input_states(self, pairs: list[tuple[int, int]]) -> np.ndarray:
         states = np.zeros((len(pairs), self.circuit.width), dtype=np.uint8)

@@ -46,14 +46,6 @@ class Gate:
                 f"{self.kind.name} takes {ARITY[self.kind]} qubits, got {self.qubits}"
             )
 
-    @property
-    def target(self) -> int:
-        return self.qubits[-1]
-
-    @property
-    def controls(self) -> tuple[int, ...]:
-        return self.qubits[:-1]
-
 
 def x(q: int) -> Gate:
     return Gate(GateKind.NOT, (q,))
@@ -192,8 +184,19 @@ def pack_value(value: int, wires: Sequence[int], state: np.ndarray) -> None:
         state[:, w] = (value >> i) & 1
 
 
+# read_value packs each measured row into an int64, so 63 wires at most.
+MAX_READ_WIRES = 63
+
+
+def check_readable(wires: Sequence[int]) -> None:
+    if len(wires) > MAX_READ_WIRES:
+        raise ValueError(f"{len(wires)} measured wires exceed the "
+                         f"{MAX_READ_WIRES} that fit a signed 64-bit value")
+
+
 def read_value(wires: Sequence[int], state: np.ndarray) -> np.ndarray:
     """Read the little-endian integer on ``wires`` from each row of ``state``."""
+    check_readable(wires)
     out = np.zeros(state.shape[0], dtype=np.int64)
     for i, w in enumerate(wires):
         out |= state[:, w].astype(np.int64) << i
@@ -221,12 +224,21 @@ def _span_text(qubits: tuple[int, ...]) -> str:
 def _parse_span(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
+        lo, dots, hi = part.partition("..")
+        if not dots:
             out.append(int(part))
+        elif int(lo) > int(hi):
+            raise ValueError(f"descending span {part!r}")
+        else:
+            out.extend(range(int(lo), int(hi) + 1))
     return tuple(out)
+
+
+def _check_field_count(fields: list[str], low: int, high: int) -> None:
+    given = len(fields) - 1
+    if not low <= given <= high:
+        wanted = str(low) if low == high else f"{low} or {high}"
+        raise ValueError(f"{fields[0]!r} takes {wanted} fields, got {given}")
 
 
 def to_text(circuit: Circuit) -> str:
@@ -245,6 +257,12 @@ def to_text(circuit: Circuit) -> str:
 
 
 def from_text(text: str) -> Circuit:
+    """Parse the text format of to_text.
+
+    A malformed line raises ValueError("line N: ...").  A well-formed text
+    whose circuit breaks an invariant of validate() raises
+    CircuitValidationError.
+    """
     width = -1
     name = ""
     meta: dict[str, str] = {}
@@ -264,15 +282,22 @@ def from_text(text: str) -> Circuit:
                 meta[key.strip()] = value.strip()
             continue
         fields = line.split()
-        if fields[0] == "qubits":
-            width = int(fields[1])
-        elif fields[0] == "reg":
-            tags = frozenset(fields[3].split(",")) if len(fields) > 3 else frozenset()
-            registers.append(Register(fields[1], _parse_span(fields[2]), tags))
-        elif fields[0] in kinds:
-            gates.append(Gate(kinds[fields[0]], tuple(int(q) for q in fields[1:])))
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+        try:
+            if fields[0] == "qubits":
+                _check_field_count(fields, 1, 1)
+                width = int(fields[1])
+                if width < 0:
+                    raise ValueError(f"qubit count must be >= 0, got {width}")
+            elif fields[0] == "reg":
+                _check_field_count(fields, 2, 3)
+                tags = frozenset(fields[3].split(",")) if len(fields) > 3 else frozenset()
+                registers.append(Register(fields[1], _parse_span(fields[2]), tags))
+            elif fields[0] in kinds:
+                gates.append(Gate(kinds[fields[0]], tuple(int(q) for q in fields[1:])))
+            else:
+                raise ValueError(f"cannot parse {raw!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if width < 0:
         raise ValueError("missing 'qubits' header")
     circuit = Circuit(width, tuple(gates), tuple(registers), name, meta)

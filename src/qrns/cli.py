@@ -16,7 +16,7 @@ from .adders import (
     build_adder,
     build_for_modulus,
 )
-from .circuit import from_text, to_text
+from .circuit import check_readable, from_text, to_text
 from .distributed import distributed_add
 from .noise import (
     DEFAULT_NOISE,
@@ -41,13 +41,8 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_SIMULATION = 3
 
-FAMILY_NAMES = {
-    "full": AdderFamily.FULL,
-    "mod-pow2": AdderFamily.MOD_POW2,
-    "mod-pow2-minus1": AdderFamily.MOD_POW2_MINUS1,
-    "mod-pow2-plus1": AdderFamily.MOD_POW2_PLUS1,
-    "qdma": AdderFamily.MOD_POW2_PLUS1,
-}
+FAMILY_NAMES = {family.value: family for family in AdderFamily}
+FAMILY_NAMES["qdma"] = FAMILY_NAMES["mod-pow2-plus1"]
 
 
 class UsageError(Exception):
@@ -59,6 +54,27 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _sampling(text: str) -> int | str:
+    return text if text in ("auto", "exhaustive") else _positive_int(text)
+
+
+def _selector_config(**fields) -> SelectorConfig:
+    try:
+        return SelectorConfig(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _noise_from_arg(spec: str) -> NoiseModel:
@@ -109,17 +125,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_select(args) -> int:
-    try:
-        cfg = SelectorConfig(
-            k=args.k,
-            count=args.count,
-            efficiency=args.efficiency,
-            max_n=args.max_n,
-            depth_source=DepthSource(args.depth_source),
-            force_pow2m1_for_3=args.force_minus1_for_3,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = _selector_config(
+        k=args.k,
+        count=args.count,
+        efficiency=args.efficiency,
+        max_n=args.max_n,
+        depth_source=DepthSource(args.depth_source),
+        force_pow2m1_for_3=args.force_minus1_for_3,
+    )
     trace = explain_selection(cfg)
     rns = RnsSet.from_moduli(trace.final_moduli, cfg.force_pow2m1_for_3)
     if args.json:
@@ -140,6 +153,15 @@ def cmd_select(args) -> int:
 
 
 def _resolve_run_target(spec: str):
+    try:
+        instance = _build_run_target(spec)
+        check_readable(instance.output_wires)
+    except ValueError as exc:
+        raise UsageError(f"--circuit {spec}: {exc}") from exc
+    return instance
+
+
+def _build_run_target(spec: str):
     path = Path(spec)
     if path.exists():
         return adder_instance(from_text(path.read_text(encoding="utf-8")))
@@ -164,9 +186,9 @@ def cmd_run(args) -> int:
         count = instance.value_count
         if not (0 <= args.a < count and 0 <= args.b < count):
             raise UsageError(f"operands must lie in [0, {count})")
-        inputs = _operand_inputs(instance, args.a, args.b)
-        histogram = run_shots(instance.circuit, inputs, args.shots, noise,
-                              args.seed, instance.output_wires)
+        histogram = run_shots(instance.circuit,
+                              instance.operand_inputs(args.a, args.b),
+                              args.shots, noise, args.seed, instance.output_wires)
         expected = instance.expected_output_bits(args.a, args.b)
         rows = [(f"{bits:0{len(instance.output_wires)}b}", count_,
                  "expected" if bits == expected else "")
@@ -181,9 +203,8 @@ def cmd_run(args) -> int:
             for bits, count_, note in rows:
                 print(f"{bits}  {count_:6d}  {note}".rstrip())
         return EXIT_OK
-    sampling = int(args.sample) if args.sample.isdigit() else args.sample
     estimate = output_probability(instance, noise, shots=args.shots,
-                                  seed=args.seed, sampling=sampling)
+                                  seed=args.seed, sampling=args.sample)
     if args.json:
         print(json.dumps({
             "circuit": args.circuit,
@@ -200,17 +221,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _operand_inputs(instance, a: int, b: int) -> dict[str, int]:
-    a_bits = instance.encode_operand(a)
-    b_bits = instance.encode_operand(b)
-    if instance.family is AdderFamily.MOD_POW2_PLUS1:
-        return {"ALOW": a_bits % 2**instance.n, "AMSB": a_bits >> instance.n,
-                "B": b_bits}
-    return {"A": a_bits, "B": b_bits}
-
-
 def cmd_dqc_add(args) -> int:
-    cfg = SelectorConfig(k=args.k, efficiency=args.efficiency)
+    cfg = _selector_config(k=args.k, efficiency=args.efficiency)
     trace = explain_selection(cfg)
     rns = RnsSet.from_moduli(trace.final_moduli)
     noise = _noise_from_arg(args.noise)
@@ -331,10 +343,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="simulate a circuit under noise")
     p.add_argument("--circuit", required=True,
                    help="circuit file, '<family>:<n>', or 'mod:<modulus>'")
-    p.add_argument("--shots", type=int, default=100)
+    p.add_argument("--shots", type=_positive_int, default=100)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sample", default="auto",
+    p.add_argument("--sample", type=_sampling, default="auto",
                    help="'auto', 'exhaustive', or a random pair count")
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
@@ -347,9 +359,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--efficiency", type=float, default=0.9)
     p.add_argument("--noise", default="default")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shots", type=int, default=100)
+    p.add_argument("--shots", type=_positive_int, default=100)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dqc_add)
 
@@ -365,7 +377,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("table1", help="reference moduli-adder report")
-    p.add_argument("--shots", type=int, default=100)
+    p.add_argument("--shots", type=_positive_int, default=100)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write rows to this CSV file")
@@ -374,7 +386,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="fit a noise model to reported values")
     p.add_argument("--rows", help="comma list like '2,8,9' or '3:mod-pow2-plus1'")
-    p.add_argument("--shots", type=int, default=300)
+    p.add_argument("--shots", type=_positive_int, default=300)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--out", help="write the fitted model to this file")

@@ -106,19 +106,9 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int, base_seed: int,
 
 def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
     instance = job.instance
-    circuit = instance.circuit
-    inputs = {}
-    a_bits = instance.encode_operand(job.a_residue)
-    b_bits = instance.encode_operand(job.b_residue)
-    if instance.family is AdderFamily.MOD_POW2_PLUS1:
-        inputs["ALOW"] = a_bits % 2**instance.n
-        inputs["AMSB"] = a_bits >> instance.n
-        inputs["B"] = b_bits
-    else:
-        inputs["A"] = a_bits
-        inputs["B"] = b_bits
-    histogram = run_shots(circuit, inputs, job.shots, noise, job.seed,
-                          instance.output_wires)
+    histogram = run_shots(instance.circuit,
+                          instance.operand_inputs(job.a_residue, job.b_residue),
+                          job.shots, noise, job.seed, instance.output_wires)
     top_count = max(histogram.values())
     modal = sorted(bits for bits, count in histogram.items() if count == top_count)
     # Ties break toward the smaller decoded value and are flagged.

@@ -18,7 +18,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .adders import AdderInstance
-from .circuit import Circuit, GateKind, apply_permutation_batch, pack_value, read_value
+from .circuit import (
+    Circuit,
+    GateKind,
+    apply_permutation_batch,
+    check_readable,
+    pack_value,
+    read_value,
+)
 
 EXHAUSTIVE_PAIR_CAP = 2**12
 DEFAULT_RANDOM_PAIRS = 256
@@ -48,9 +55,6 @@ class NoiseModel:
     @classmethod
     def zero(cls) -> "NoiseModel":
         return cls()
-
-    def is_zero(self) -> bool:
-        return self.p_not == self.p_cnot == self.p_toffoli == 0.0
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -86,21 +90,6 @@ def derive_seed(*parts: int | str) -> int:
     """Stable 64-bit seed from arbitrary labeled parts (not Python hash)."""
     digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One circuit execution request: inputs per register, shots, seed."""
-
-    circuit: Circuit
-    inputs: Mapping[str, int]
-    shots: int = 100
-    seed: int = 0
-    correct_output: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
 
 
 def _initial_states(circuit: Circuit, inputs: Mapping[str, int], rows: int) -> np.ndarray:
@@ -156,15 +145,12 @@ def run_shots(circuit: Circuit, inputs: Mapping[str, int], shots: int,
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    check_readable(measure)
     states = _initial_states(circuit, inputs, rows=shots)
     rng = np.random.Generator(np.random.PCG64(seed))
     _noisy_trajectories(circuit, states, noise, rng)
     values = read_value(measure, states)
     return Counter(int(v) for v in values)
-
-
-def run_spec(spec: RunSpec, noise: NoiseModel, measure: Sequence[int]) -> Counter[int]:
-    return run_shots(spec.circuit, spec.inputs, spec.shots, noise, spec.seed, measure)
 
 
 @dataclass(frozen=True)
@@ -185,9 +171,10 @@ class ProbabilityEstimate:
 def _sample_pairs(instance: AdderInstance, pair_count: int,
                   seed: int) -> list[tuple[int, int]]:
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pairs")))
-    count = instance.value_count
-    a = rng.integers(0, count, size=pair_count)
-    b = rng.integers(0, count, size=pair_count)
+    # The closed interval keeps a count of 2^63 (mod-pow2:63) in int64.
+    top = instance.value_count - 1
+    a = rng.integers(0, top, size=pair_count, endpoint=True)
+    b = rng.integers(0, top, size=pair_count, endpoint=True)
     return [(int(x), int(y)) for x, y in zip(a, b)]
 
 
@@ -199,6 +186,9 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
     ``sampling`` is "exhaustive", "auto" (exhaustive below the pair cap,
     random above), or an explicit random pair count.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_readable(instance.output_wires)
     total_pairs = instance.value_count**2
     if sampling == "exhaustive":
         if total_pairs > EXHAUSTIVE_PAIR_CAP:
@@ -213,6 +203,8 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
         else:
             pairs = _sample_pairs(instance, DEFAULT_RANDOM_PAIRS, seed)
     elif isinstance(sampling, int):
+        if sampling < 1:
+            raise ValueError(f"pair count must be >= 1, got {sampling}")
         pairs = _sample_pairs(instance, sampling, seed)
     else:
         raise ValueError(f"bad sampling spec {sampling!r}")

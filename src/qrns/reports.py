@@ -11,7 +11,7 @@ from typing import Any
 
 from . import __version__
 from .adders import adder_instance, build_adder
-from .distributed import gain_report
+from .distributed import FULL_SHOTS, MOD_SHOTS, gain_report
 from .noise import NoiseModel, derive_seed, output_probability
 from .reference import MODULI_ROWS, comparison_row, deviation_flag
 from .resources import resource_report
@@ -22,8 +22,6 @@ from .select import DepthSource
 class ReportKind(Enum):
     TABLE1 = "table1"
     TABLE2 = "table2"
-    TRACE = "trace"
-    RUN = "run"
 
 
 @dataclass(frozen=True)
@@ -146,16 +144,12 @@ TABLE2_COLUMNS = (
 def build_table2(sizes: list[int], efficiency: float, noise: NoiseModel,
                  seed: int, budget: int,
                  depth_source: DepthSource = DepthSource.PAPER_TABLE,
-                 shots_mod: int | None = None,
-                 shots_full: int | None = None) -> ReportDocument:
+                 shots_mod: int = MOD_SHOTS,
+                 shots_full: int = FULL_SHOTS) -> ReportDocument:
     """Monolithic-vs-distributed comparison rows for the requested sizes."""
-    kwargs = {}
-    if shots_mod is not None:
-        kwargs["shots_mod"] = shots_mod
-    if shots_full is not None:
-        kwargs["shots_full"] = shots_full
     comparison = gain_report(sizes, efficiency, noise, seed=seed,
-                             budget=budget, depth_source=depth_source, **kwargs)
+                             shots_mod=shots_mod, shots_full=shots_full,
+                             budget=budget, depth_source=depth_source)
     rows = []
     for row in comparison:
         ref = comparison_row(row.size)

@@ -37,10 +37,6 @@ class RnsSet:
         families = tuple(family_for_modulus(m, force_pow2m1_for_3) for m in moduli)
         return cls(moduli=moduli, families=families)
 
-    @property
-    def range(self) -> int:
-        return rns_range(self)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(m) for m in self.moduli) + ")"
 

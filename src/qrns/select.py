@@ -22,7 +22,8 @@ from .rns import RnsSet, is_pairwise_coprime, rns_range
 PAPER_TABLE_DEPTHS = {2: 0, 3: 4, 4: 1, 5: 6, 7: 12, 8: 3, 9: 9}
 PAPER_TABLE_DEPTH_3_MINUS1 = 6
 
-DEFAULT_C_CEILING = 6
+# Largest moduli count the selector tries before giving up.
+C_CEILING = 6
 
 
 class DepthSource(Enum):
@@ -72,7 +73,6 @@ class SelectorConfig:
     efficiency: float = 0.9
     max_n: int = 3
     depth_source: DepthSource = DepthSource.PAPER_TABLE
-    c_ceiling: int = DEFAULT_C_CEILING
     force_pow2m1_for_3: bool = False
 
     def __post_init__(self) -> None:
@@ -82,8 +82,8 @@ class SelectorConfig:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if self.count < 2:
             raise ValueError(f"moduli count must be >= 2, got {self.count}")
-        if self.c_ceiling < self.count:
-            raise ValueError("c_ceiling below initial count")
+        if self.count > C_CEILING:
+            raise ValueError(f"moduli count must be <= {C_CEILING}, got {self.count}")
 
     @property
     def pool(self) -> tuple[int, ...]:
@@ -200,16 +200,16 @@ def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
         trace.final_moduli = tuple(sorted(shortcut))
         return trace
     count = cfg.count
-    while count <= cfg.c_ceiling:
+    while count <= C_CEILING:
         best = _enumerate(cfg, count, trace)
         if best is not None:
             trace.final_moduli = tuple(sorted(best.moduli))
             return trace
         count += 1
-        if count <= cfg.c_ceiling:
+        if count <= C_CEILING:
             trace.log(f"incrementing moduli count to C={count}")
     constraint = (f"range >= E*K = {cfg.threshold:g} with pool {cfg.pool} "
-                  f"and C <= {cfg.c_ceiling}")
+                  f"and C <= {C_CEILING}")
     trace.log(f"infeasible: {constraint}")
     raise SelectionError(f"no qualifying moduli set: {constraint}", constraint)
 

@@ -11,12 +11,18 @@ from qrns.adders import (
     build_qdma,
     classical_mod_add,
     dim1_decode,
-    dim1_decode_bits,
     dim1_encode,
     family_for_modulus,
     make_adder,
 )
-from qrns.circuit import TAG_PASS, GateKind, apply_permutation_batch, read_value
+from qrns.circuit import (
+    TAG_PASS,
+    GateKind,
+    apply_permutation_batch,
+    from_text,
+    read_value,
+    to_text,
+)
 from qrns.resources import resource_report
 
 
@@ -24,7 +30,7 @@ from qrns.resources import resource_report
 
 @pytest.mark.parametrize("a,b,m,expected", [
     (4, 7, 9, 2),
-    (2, 1, 3, 0),   # the exact-modulus branch
+    (2, 1, 3, 0),   # a+b equal to the modulus
     (0, 0, 5, 0),
     (6, 6, 7, 5),
 ])
@@ -56,7 +62,7 @@ def test_classical_mod_add_rejects_oversized_inputs():
     (2, 1, 0b01),
 ])
 def test_dim1_encoding(value, n, bits):
-    assert dim1_encode(value, n).bits == bits
+    assert dim1_encode(value, n) == bits
 
 
 def test_dim1_round_trip_is_a_bijection():
@@ -64,8 +70,8 @@ def test_dim1_round_trip_is_a_bijection():
         seen = set()
         for value in range(2**n + 1):
             encoded = dim1_encode(value, n)
-            assert dim1_decode(encoded) == value
-            seen.add(encoded.bits)
+            assert dim1_decode(encoded, n) == value
+            seen.add(encoded)
         assert len(seen) == 2**n + 1
 
 
@@ -75,7 +81,7 @@ def test_dim1_rejects_out_of_range():
     with pytest.raises(ValueError):
         dim1_encode(-1, 3)
     with pytest.raises(ValueError):
-        dim1_decode_bits(0b1010, 3)  # MSB set with nonzero low bits
+        dim1_decode(0b1010, 3)  # MSB set with nonzero low bits
 
 
 # --- exhaustive oracle equivalence -----------------------------------------
@@ -116,7 +122,25 @@ def test_qdma_output_never_exceeds_modulus():
         instance = make_adder(AdderFamily.MOD_POW2_PLUS1, n)
         pairs = list(instance.legal_pairs())
         for bits in instance.run_pairs(pairs):
-            assert 0 <= dim1_decode_bits(int(bits), n) <= 2**n
+            assert 0 <= dim1_decode(int(bits), n) <= 2**n
+
+
+@pytest.mark.parametrize("family,n", CASES)
+def test_wiring_survives_text_round_trip(family, n):
+    instance = make_adder(family, n)
+    parsed = adder_instance(from_text(to_text(instance.circuit)))
+    assert (parsed.a_wires, parsed.b_wires, parsed.output_wires) == (
+        instance.a_wires, instance.b_wires, instance.output_wires)
+
+
+def test_qdma_wiring_comes_from_register_tags():
+    instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
+    reg = instance.circuit.register
+    assert instance.a_wires == reg("ALOW").qubits + reg("AMSB").qubits
+    assert instance.output_wires == reg("ALOW").qubits + reg("MTOP").qubits
+    # Zero is the codeword 0b1000: only the MSB register is set.
+    assert instance.operand_inputs(0, 4) == {"ALOW": 0, "AMSB": 1, "B": 0b011}
+    assert instance.operand_inputs(5, 0) == {"ALOW": 0b100, "AMSB": 0, "B": 0b1000}
 
 
 # --- specific value examples ------------------------------------------------
@@ -146,9 +170,9 @@ def test_mod3_and_mod7_examples():
 def test_qdma_dim1_examples():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
     # 4 + 7 = 11 = 2 mod 9, all in diminished-1 on the wire.
-    assert dim1_encode(4, 3).bits == 0b0011
-    assert dim1_encode(7, 3).bits == 0b0110
-    assert int(instance.run_pairs([(4, 7)])[0]) == dim1_encode(2, 3).bits == 0b0001
+    assert dim1_encode(4, 3) == 0b0011
+    assert dim1_encode(7, 3) == 0b0110
+    assert int(instance.run_pairs([(4, 7)])[0]) == dim1_encode(2, 3) == 0b0001
     # 0 + 0 keeps the zero flag set.
     assert int(instance.run_pairs([(0, 0)])[0]) == 0b1000
 

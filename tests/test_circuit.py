@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrns.circuit import (
+    MAX_READ_WIRES,
+    VALID_TAGS,
     Circuit,
     Gate,
     GateKind,
@@ -15,6 +17,7 @@ from qrns.circuit import (
     ccx,
     cx,
     from_text,
+    read_value,
     to_text,
     validate,
     x,
@@ -183,6 +186,83 @@ def test_from_text_rejects_garbage():
         from_text("qubits 2\nfoo 1 2\n")
     with pytest.raises(ValueError):
         from_text("cx 0 1\n")  # missing qubits header
+
+
+@pytest.mark.parametrize("text,message", [
+    ("qubits\n", "line 1: 'qubits' takes 1 fields, got 0"),
+    ("qubits 2 3\n", "line 1: 'qubits' takes 1 fields, got 2"),
+    ("qubits -1\n", "line 1: qubit count must be >= 0"),
+    ("qubits two\n", "line 1: invalid literal"),
+    ("qubits 3\nreg A\n", "line 2: 'reg' takes 2 or 3 fields, got 1"),
+    ("qubits 3\nreg A 2..0 input\n", "line 2: descending span"),
+    ("qubits 3\nreg A 0..x input\n", "line 2: invalid literal"),
+    ("qubits 3\nreg A 0 bogus\n", "line 2: unknown register tags"),
+    ("qubits 3\n\n# note\nccx 0 1\n", "line 4: TOFFOLI takes 3 qubits"),
+    ("qubits 3\ncx 0 q\n", "line 2: invalid literal"),
+])
+def test_from_text_names_the_malformed_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_text(text)
+
+
+_NAMES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1,
+                 max_size=6)
+
+
+@st.composite
+def _circuits(draw):
+    width = draw(st.integers(3, 8))
+    wires = st.integers(0, width - 1)
+    gates = draw(st.lists(st.one_of(
+        st.builds(x, wires),
+        st.lists(wires, min_size=2, max_size=2, unique=True).map(lambda q: cx(*q)),
+        st.lists(wires, min_size=3, max_size=3, unique=True).map(lambda q: ccx(*q)),
+    ), max_size=20))
+    # Disjoint non-empty registers: cut a wire permutation into runs.
+    order = draw(st.permutations(range(width)))
+    cuts = sorted(draw(st.sets(st.integers(1, width - 1))))
+    groups = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [width])]
+    groups = groups[:draw(st.integers(0, len(groups)))]
+    names = draw(st.lists(_NAMES, min_size=len(groups), max_size=len(groups),
+                          unique=True))
+    registers = tuple(
+        Register(name, tuple(group), draw(st.frozensets(st.sampled_from(sorted(VALID_TAGS)))))
+        for name, group in zip(names, groups)
+    )
+    return Circuit(width, tuple(gates), registers,
+                   draw(st.one_of(st.just(""), _NAMES)),
+                   draw(st.dictionaries(_NAMES, _NAMES, max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_circuits())
+def test_text_round_trip_of_random_circuits(circuit):
+    assert from_text(to_text(circuit)) == circuit
+
+
+_TOKENS = st.sampled_from([
+    "qubits", "reg", "x", "cx", "ccx", "#", "# meta", "# circuit", "A", "B",
+    "0", "1", "2", "-1", "0..2", "2..0", "1..", "1,2", "input",
+    "output,pass", "bogus", "=", "..", ",",
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(),
+                 st.lists(st.lists(_TOKENS, max_size=5).map(" ".join),
+                          max_size=8).map("\n".join)))
+def test_from_text_raises_only_value_error(text):
+    try:
+        from_text(text)
+    except ValueError:
+        pass
+
+
+def test_read_value_refuses_more_than_63_wires():
+    state = np.ones((1, MAX_READ_WIRES + 1), dtype=np.uint8)
+    assert read_value(range(MAX_READ_WIRES), state)[0] == 2**MAX_READ_WIRES - 1
+    with pytest.raises(ValueError, match="63"):
+        read_value(range(MAX_READ_WIRES + 1), state)
 
 
 def test_exhaustive_permutation_matrix_matches_scalar():

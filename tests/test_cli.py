@@ -127,6 +127,61 @@ def test_dqc_add_byte_identical_across_workers(capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--circuit", "mod:5", "--shots", "0"),
+    ("run", "--circuit", "mod:5", "--sample", "0"),
+    ("run", "--circuit", "mod:5", "--sample", "-3"),
+    ("run", "--circuit", "mod:5", "--sample", "some"),
+    ("dqc-add", "--a", "1", "--b", "2", "--k", "64", "--workers", "0"),
+    ("dqc-add", "--a", "1", "--b", "2", "--k", "64", "--shots", "-1"),
+    ("table1", "--shots", "0"),
+    ("calibrate", "--shots", "0"),
+])
+def test_non_positive_counts_are_usage_errors(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert "Traceback" not in stderr
+
+
+def test_dqc_add_small_k_is_usage_error(capsys):
+    code, _, stderr = run_cli(capsys, "dqc-add", "--a", "1", "--b", "2",
+                              "--k", "10")
+    assert code == 1
+    assert "K must be >= 50" in stderr
+
+
+def test_run_widest_readable_full_adder(capsys):
+    code, stdout, _ = run_cli(capsys, "run", "--circuit", "full:62",
+                              "--sample", "16", "--noise", "zero",
+                              "--shots", "2")
+    assert code == 0
+    assert "mean output probability 1.000" in stdout
+
+
+@pytest.mark.parametrize("extra", [(), ("--a", "1", "--b", "2")])
+def test_run_refuses_more_than_63_output_wires(capsys, extra):
+    code, stdout, stderr = run_cli(capsys, "run", "--circuit", "full:63",
+                                   "--sample", "16", "--noise", "zero", *extra)
+    assert code == 1
+    assert stdout == ""
+    assert "64 measured wires" in stderr
+
+
+def test_synth_full_63_still_builds(capsys):
+    code, stdout, _ = run_cli(capsys, "synth", "full", "63")
+    assert code == 0
+    assert "qubits 127" in stdout
+
+
+def test_run_malformed_circuit_file(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("qubits 3\nreg A\n")
+    code, _, stderr = run_cli(capsys, "run", "--circuit", str(path))
+    assert code == 1
+    assert "line 2" in stderr
+
+
 def test_dqc_add_overflow_is_simulation_error(capsys):
     code, _, stderr = run_cli(capsys, "dqc-add", "--a", "30", "--b", "30",
                               "--k", "64", "--efficiency", "0.9")

@@ -44,12 +44,12 @@ def test_derive_seed_is_stable_and_distinct():
 
 def test_run_exact_qdma_example():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
-    a, b = dim1_encode(4, 3).bits, dim1_encode(7, 3).bits
+    a, b = dim1_encode(4, 3), dim1_encode(7, 3)
     bits = run_exact(instance.circuit, {
         "ALOW": a % 8, "AMSB": a >> 3, "B": b,
     })
     out = sum(int(bits[w]) << i for i, w in enumerate(instance.output_wires))
-    assert out == dim1_encode(2, 3).bits
+    assert out == dim1_encode(2, 3)
 
 
 def test_run_exact_mod4_zero():
@@ -111,7 +111,10 @@ def test_output_probability_zero_noise_is_one():
     for family, n in [(AdderFamily.MOD_POW2, 1), (AdderFamily.MOD_POW2, 2),
                       (AdderFamily.MOD_POW2_PLUS1, 1),
                       (AdderFamily.MOD_POW2_MINUS1, 2),
-                      (AdderFamily.FULL, 3)]:
+                      (AdderFamily.FULL, 3),
+                      # The widest that fit int64: full:62 measures 63
+                      # wires, mod-pow2:63 draws operands up to 2^63 - 1.
+                      (AdderFamily.FULL, 62), (AdderFamily.MOD_POW2, 63)]:
         estimate = output_probability(make_adder(family, n),
                                       NoiseModel.zero(), shots=20, seed=0)
         assert estimate.mean == 1.0
@@ -181,3 +184,35 @@ def test_calibrate_noise_all_perfect_targets_returns_zero_model():
     assert model.p_cnot == 0.0
     assert model.p_toffoli == 0.0
     assert result.residual == 0.0
+
+
+def test_output_probability_rejects_empty_shot_and_pair_counts():
+    instance = make_adder(AdderFamily.MOD_POW2, 2)
+    with pytest.raises(ValueError, match="shots"):
+        output_probability(instance, NoiseModel.zero(), shots=0, seed=0)
+    with pytest.raises(ValueError, match="pair count"):
+        output_probability(instance, NoiseModel.zero(), shots=5, seed=0,
+                           sampling=0)
+
+
+def test_more_than_63_measured_wires_are_refused():
+    instance = make_adder(AdderFamily.FULL, 63)
+    with pytest.raises(ValueError, match="63"):
+        output_probability(instance, NoiseModel.zero(), shots=1, seed=0,
+                           sampling=1)
+    with pytest.raises(ValueError, match="63"):
+        run_shots(instance.circuit, instance.operand_inputs(1, 2), shots=1,
+                  noise=NoiseModel.zero(), seed=0, measure=instance.output_wires)
+
+
+@pytest.mark.parametrize("family,n", [
+    (AdderFamily.FULL, 2), (AdderFamily.MOD_POW2, 2),
+    (AdderFamily.MOD_POW2_MINUS1, 3), (AdderFamily.MOD_POW2_PLUS1, 2),
+])
+def test_operand_inputs_drive_run_shots_to_the_oracle(family, n):
+    instance = make_adder(family, n)
+    for a, b in instance.legal_pairs():
+        histogram = run_shots(instance.circuit, instance.operand_inputs(a, b),
+                              shots=1, noise=NoiseModel.zero(), seed=0,
+                              measure=instance.output_wires)
+        assert histogram == {instance.expected_output_bits(a, b): 1}

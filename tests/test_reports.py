@@ -1,7 +1,6 @@
 import json
 
-from qrns.noise import DEFAULT_NOISE, NoiseModel, run_spec, RunSpec
-from qrns.adders import AdderFamily, make_adder
+from qrns.noise import DEFAULT_NOISE, NoiseModel
 from qrns.reports import ReportKind, build_table1, build_table2
 from qrns.select import DepthSource
 
@@ -53,10 +52,3 @@ def test_table2_built_depth_source_matches_reference_sets():
                             depth_source=DepthSource.BUILT)
     assert dict(zip(document.columns, document.rows[0]))["rns_set"] == "(4, 5, 9)"
 
-
-def test_run_spec_wrapper():
-    instance = make_adder(AdderFamily.MOD_POW2, 2)
-    spec = RunSpec(circuit=instance.circuit, inputs={"A": 3, "B": 2},
-                   shots=20, seed=4, correct_output=1)
-    histogram = run_spec(spec, NoiseModel.zero(), instance.output_wires)
-    assert histogram == {spec.correct_output: 20}
