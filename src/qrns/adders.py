@@ -434,11 +434,13 @@ class AdderInstance:
         return inputs
 
     def input_states(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+        """One basis state per pair, the encoded operands on their wires."""
         states = np.zeros((len(pairs), self.circuit.width), dtype=np.uint8)
-        for row, (a, b) in enumerate(pairs):
-            one = states[row : row + 1]
-            pack_value(self.encode_operand(a), self.a_wires, one)
-            pack_value(self.encode_operand(b), self.b_wires, one)
+        for wires, values in zip((self.a_wires, self.b_wires), zip(*pairs)):
+            # Codewords wider than 64 bits stay Python ints.
+            codes = np.array([self.encode_operand(v) for v in values],
+                             dtype=np.uint64 if len(wires) <= 64 else object)
+            pack_value(codes, wires, states)
         return states
 
     def legal_pairs(self) -> Iterator[tuple[int, int]]:
@@ -462,6 +464,10 @@ def adder_instance(circuit: Circuit) -> AdderInstance:
         n = int(circuit.meta["n"])
     except KeyError as exc:
         raise ValueError("circuit lacks builder metadata (family, n)") from exc
+    if ("B" not in {reg.name for reg in circuit.registers}
+            or not circuit.registers_tagged(TAG_OUTPUT)):
+        raise ValueError("register tags do not describe an adder: it needs a "
+                         "register 'B' and at least one 'output' register")
     return AdderInstance(circuit=circuit, family=family, n=n)
 
 

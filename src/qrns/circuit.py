@@ -7,6 +7,7 @@ bit of the value it carries.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -126,8 +127,21 @@ def validate(circuit: Circuit) -> list[str]:
             errors.append(
                 f"gate {i} ({gate.kind.value}): duplicate qubit in {gate.qubits}"
             )
+    # The text format stores names and meta on whitespace-split lines, so
+    # these rules are what keeps every valid circuit readable by from_text.
+    if not _is_one_line(circuit.name):
+        errors.append(f"circuit name {circuit.name!r} is not one trimmed line")
+    for key, value in circuit.meta.items():
+        if not key or "=" in key or _has_space(key):
+            errors.append(f"meta key {key!r} is empty or holds '=' or whitespace")
+        if not _is_one_line(value):
+            errors.append(f"meta {key!r}: value {value!r} is not one trimmed line")
     seen: dict[int, str] = {}
     for reg in circuit.registers:
+        if not reg.name or _has_space(reg.name):
+            errors.append(f"register name {reg.name!r} is empty or holds whitespace")
+        if not reg.qubits:
+            errors.append(f"register {reg.name}: no qubits")
         for q in reg.qubits:
             if not 0 <= q < circuit.width:
                 errors.append(f"register {reg.name}: qubit {q} out of range")
@@ -138,6 +152,14 @@ def validate(circuit: Circuit) -> list[str]:
             else:
                 seen[q] = reg.name
     return errors
+
+
+def _has_space(text: str) -> bool:
+    return any(c.isspace() for c in text)
+
+
+def _is_one_line(text: str) -> bool:
+    return text == text.strip() and len(text.splitlines()) <= 1
 
 
 def assert_valid(circuit: Circuit) -> None:
@@ -159,15 +181,30 @@ def apply_permutation(circuit: Circuit, bits: str) -> str:
     return "".join(str(int(b)) for b in state[0])
 
 
-def apply_permutation_batch(circuit: Circuit, states: np.ndarray) -> np.ndarray:
+def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
+                            error_rates: Sequence[float] | None = None,
+                            rng: np.random.Generator | None = None) -> np.ndarray:
     """Apply the circuit to many basis states in place.
 
     ``states`` is a (count, width) uint8 array of 0/1 values; column i is
     qubit i.  Returns the same array for convenience.
+
+    With ``error_rates`` (one probability per gate) and ``rng``, an error
+    event follows gate g on each row independently with probability
+    ``error_rates[g]`` and flips each qubit the gate touches with
+    probability 1/2.  Only the events are drawn: a Binomial(count, p)
+    number of them, on that many distinct rows, each with a uniform flip
+    pattern.  That is the same joint distribution as one Bernoulli draw
+    per row, at a cost that scales with the events instead of the rows.
     """
     if states.ndim != 2 or states.shape[1] != circuit.width:
         raise ValueError(f"states must be (*, {circuit.width})")
-    for gate in circuit.gates:
+    if error_rates is None:
+        error_rates = itertools.repeat(0.0)
+    elif len(error_rates) != len(circuit.gates) or rng is None:
+        raise ValueError("error_rates needs one rate per gate and an rng")
+    rows = states.shape[0]
+    for gate, p in zip(circuit.gates, error_rates):
         q = gate.qubits
         if gate.kind is GateKind.NOT:
             states[:, q[0]] ^= 1
@@ -175,11 +212,21 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray) -> np.ndarray:
             states[:, q[1]] ^= states[:, q[0]]
         else:
             states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
+        if p > 0.0:
+            events = rng.binomial(rows, p)
+            if events:
+                hit = rng.choice(rows, events, replace=False, shuffle=False)
+                states[hit[:, np.newaxis], q] ^= rng.integers(
+                    0, 2, size=(events, len(q)), dtype=np.uint8)
     return states
 
 
-def pack_value(value: int, wires: Sequence[int], state: np.ndarray) -> None:
-    """Write ``value`` little-endian onto ``wires`` of a (count, width) state."""
+def pack_value(value: int | np.ndarray, wires: Sequence[int], state: np.ndarray) -> None:
+    """Write ``value`` little-endian onto ``wires`` of a (count, width) state.
+
+    ``value`` is one int for every row, or an integer array with one value
+    per row.
+    """
     for i, w in enumerate(wires):
         state[:, w] = (value >> i) & 1
 
@@ -199,7 +246,7 @@ def read_value(wires: Sequence[int], state: np.ndarray) -> np.ndarray:
     check_readable(wires)
     out = np.zeros(state.shape[0], dtype=np.int64)
     for i, w in enumerate(wires):
-        out |= state[:, w].astype(np.int64) << i
+        out |= np.left_shift(state[:, w], i, dtype=np.int64)
     return out
 
 

@@ -17,7 +17,7 @@ from .adders import (
     build_for_modulus,
 )
 from .circuit import check_readable, from_text, to_text
-from .distributed import distributed_add
+from .distributed import MIN_SIZE, distributed_add
 from .noise import (
     DEFAULT_NOISE,
     NoiseModel,
@@ -225,9 +225,13 @@ def cmd_dqc_add(args) -> int:
     cfg = _selector_config(k=args.k, efficiency=args.efficiency)
     trace = explain_selection(cfg)
     rns = RnsSet.from_moduli(trace.final_moduli)
+    total_range = rns_range(rns)
+    if not (0 <= args.a < total_range and 0 <= args.b < total_range):
+        raise UsageError(f"operands must lie in [0, {total_range})")
     noise = _noise_from_arg(args.noise)
     result = distributed_add(args.a, args.b, rns, noise, shots=args.shots,
                              base_seed=args.seed, workers=args.workers)
+    correct = result.reconstructed == args.a + args.b
     if args.json:
         payload = {
             "a": args.a, "b": args.b, "k": args.k,
@@ -236,9 +240,11 @@ def cmd_dqc_add(args) -> int:
                 "modulus": r.modulus,
                 "top_value": r.top_value,
                 "top_probability": fmt_prob(r.top_probability),
+                "correct_probability": fmt_prob(r.correct_probability),
                 "tie": r.tie,
             } for r in result.results],
             "reconstructed": result.reconstructed,
+            "correct": correct,
             "set_output_probability": fmt_prob(result.set_output_probability),
             "end_to_end_probability": fmt_prob(result.end_to_end_probability),
             "seed": args.seed,
@@ -250,23 +256,35 @@ def cmd_dqc_add(args) -> int:
             tie = "  (tie, took smaller value)" if r.tie else ""
             print(f"  mod {r.modulus}: top outcome {r.top_value} "
                   f"p={r.top_probability:.3f}{tie}")
+            print(f"    correct outcome p={r.correct_probability:.3f}")
         print(f"reconstructed sum {result.reconstructed}")
+        print(f"correct {'yes' if correct else 'no'}")
         print(f"set output probability {result.set_output_probability:.3f}")
         print(f"end-to-end probability {result.end_to_end_probability:.3f}")
     return EXIT_OK
 
 
-def _parse_sizes(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+def _sizes(text: str) -> list[int]:
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            sizes = list(range(int(lo), int(hi) + 1))
+        else:
+            sizes = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a size list like 6..11 or 6,8: {text!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"empty size range {text!r}")
+    if min(sizes) < MIN_SIZE:
+        raise argparse.ArgumentTypeError(f"sizes must be >= {MIN_SIZE}, got {text!r}")
+    return sizes
 
 
 def cmd_compare(args) -> int:
     noise = _noise_from_arg(args.noise)
     document = build_table2(
-        sizes=_parse_sizes(args.sizes),
+        sizes=args.sizes,
         efficiency=args.efficiency,
         noise=noise,
         seed=args.seed,
@@ -366,7 +384,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_dqc_add)
 
     p = sub.add_parser("compare", help="monolithic vs distributed comparison")
-    p.add_argument("--sizes", default="6..11", help="e.g. 6..11 or 6,8,10")
+    p.add_argument("--sizes", type=_sizes, default="6..11", help="e.g. 6..11 or 6,8,10")
     p.add_argument("--efficiency", type=float, default=0.9)
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--noise", default="default")

@@ -55,6 +55,9 @@ class JobResult:
     top_bits: int | None
     top_value: int | None
     top_probability: float
+    # Share of shots that read the oracle's output bits, which the modal
+    # outcome alone does not show when the mode is wrong.
+    correct_probability: float
     tie: bool
     error: str | None = None
 
@@ -127,6 +130,7 @@ def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
         top_bits=top_bits,
         top_value=top_value,
         top_probability=top_count / job.shots,
+        correct_probability=histogram[job.expected_bits] / job.shots,
         tie=len(modal) > 1,
     )
 
@@ -151,7 +155,8 @@ def execute_jobs(jobs: list[ResidueJob], workers: int,
         except Exception as exc:  # noqa: BLE001 - per-job isolation
             return JobResult(job_id=job.job_id, modulus=job.modulus,
                              histogram=None, top_bits=None, top_value=None,
-                             top_probability=0.0, tie=False, error=str(exc))
+                             top_probability=0.0, correct_probability=0.0,
+                             tie=False, error=str(exc))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(safe, jobs))
@@ -202,6 +207,9 @@ def distributed_add(a: int, b: int, rns: RnsSet, noise: NoiseModel,
 MOD_SHOTS = 100    # published protocol: one hundred shots for modulo adders
 FULL_SHOTS = 200   # and two hundred for the full adders
 DEVICE_BUDGET = 20
+# Smallest adder size to compare: K = 2^6 is the first power of two the
+# selector accepts (K >= 50).
+MIN_SIZE = 6
 
 
 @dataclass(frozen=True)
@@ -235,8 +243,8 @@ def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
     residue counterpart is selected for K = 2^s.  The monolithic
     probability column goes None above the qubit budget.
     """
-    if any(size < 6 for size in sizes):
-        raise ValueError("sizes below 6 leave K under the selector minimum")
+    if any(size < MIN_SIZE for size in sizes):
+        raise ValueError(f"sizes below {MIN_SIZE} leave K under the selector minimum")
     rows = []
     mod_probs: dict[int, float] = {}
     for size in sizes:

@@ -6,14 +6,18 @@ probability flip each touched qubit independently with probability 1/2.
 Phase errors commute to an unobservable global phase on basis inputs,
 which is why bit flips are the only error channel modeled.  This is a
 deliberate, documented substitute for a hardware-calibrated emulator.
+
+One kernel runs every noisy simulation: the whole (inputs x shots) batch
+goes through ``apply_permutation_batch`` in fixed-size chunks, and only
+the sparse error events are drawn (see its docstring).
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +33,9 @@ from .circuit import (
 
 EXHAUSTIVE_PAIR_CAP = 2**12
 DEFAULT_RANDOM_PAIRS = 256
+# Rows (input x shot) simulated at once: bounds the state array at
+# CHUNK_ROWS x width bytes, whatever the pair and shot counts.
+CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -92,8 +99,9 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _initial_states(circuit: Circuit, inputs: Mapping[str, int], rows: int) -> np.ndarray:
-    states = np.zeros((rows, circuit.width), dtype=np.uint8)
+def _initial_state(circuit: Circuit, inputs: Mapping[str, int]) -> np.ndarray:
+    """The (1, width) basis state with each register of ``inputs`` set."""
+    state = np.zeros((1, circuit.width), dtype=np.uint8)
     names = {reg.name for reg in circuit.registers}
     unknown = set(inputs) - names
     if unknown:
@@ -104,8 +112,8 @@ def _initial_states(circuit: Circuit, inputs: Mapping[str, int], rows: int) -> n
             continue
         if not 0 <= value < 2**reg.size:
             raise ValueError(f"value {value} does not fit register {reg.name}")
-        pack_value(value, reg.qubits, states)
-    return states
+        pack_value(value, reg.qubits, state)
+    return state
 
 
 def run_exact(circuit: Circuit, inputs: Mapping[str, int]) -> str:
@@ -113,27 +121,32 @@ def run_exact(circuit: Circuit, inputs: Mapping[str, int]) -> str:
 
     Unassigned registers (ancillas) start at zero.
     """
-    states = _initial_states(circuit, inputs, rows=1)
-    apply_permutation_batch(circuit, states)
-    return "".join(str(int(b)) for b in states[0])
+    state = apply_permutation_batch(circuit, _initial_state(circuit, inputs))
+    return "".join(str(int(b)) for b in state[0])
 
 
-def _noisy_trajectories(circuit: Circuit, states: np.ndarray,
-                        noise: NoiseModel, rng: np.random.Generator) -> None:
-    rows = states.shape[0]
-    for gate in circuit.gates:
-        q = gate.qubits
-        if gate.kind is GateKind.NOT:
-            states[:, q[0]] ^= 1
-        elif gate.kind is GateKind.CNOT:
-            states[:, q[1]] ^= states[:, q[0]]
-        else:
-            states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
-        p = noise.for_kind(gate.kind)
-        if p > 0.0:
-            fired = rng.random(rows) < p
-            flips = (rng.random((rows, len(q))) < 0.5) & fired[:, np.newaxis]
-            states[:, q] ^= flips.astype(np.uint8)
+def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
+              noise: NoiseModel, seed: int,
+              measure: Sequence[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Noisy runs of ``shots`` shots from each row of ``inputs``.
+
+    Row r of the (inputs x shots) batch is shot r % shots of input
+    r // shots.  The batch runs in chunks of at most CHUNK_ROWS rows, and
+    chunk c draws its errors from its own seed, derive_seed(seed, c).
+    Yields, per chunk, the index of its first input, how many of its rows
+    each of its inputs has, and the measured value of every row.
+    """
+    rates = [noise.for_kind(gate.kind) for gate in circuit.gates]
+    total = inputs.shape[0] * shots
+    for chunk, start in enumerate(range(0, total, CHUNK_ROWS)):
+        stop = min(start + CHUNK_ROWS, total)
+        first, last = start // shots, (stop - 1) // shots
+        counts = np.diff(np.clip(np.arange(first, last + 2) * shots, start, stop))
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, chunk)))
+        # No name holds the states, so they are freed before the caller
+        # runs: the chunk's memory peak stays inside read_value.
+        yield first, counts, read_value(measure, apply_permutation_batch(
+            circuit, np.repeat(inputs[first:last + 1], counts, axis=0), rates, rng))
 
 
 def run_shots(circuit: Circuit, inputs: Mapping[str, int], shots: int,
@@ -146,11 +159,12 @@ def run_shots(circuit: Circuit, inputs: Mapping[str, int], shots: int,
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     check_readable(measure)
-    states = _initial_states(circuit, inputs, rows=shots)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    _noisy_trajectories(circuit, states, noise, rng)
-    values = read_value(measure, states)
-    return Counter(int(v) for v in values)
+    initial = _initial_state(circuit, inputs)
+    histogram: Counter[int] = Counter()
+    for _, _, values in _simulate(circuit, initial, shots, noise, seed, measure):
+        outcomes, counts = np.unique(values, return_counts=True)
+        histogram.update(dict(zip(outcomes.tolist(), counts.tolist())))
+    return histogram
 
 
 @dataclass(frozen=True)
@@ -209,19 +223,17 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
     else:
         raise ValueError(f"bad sampling spec {sampling!r}")
 
-    circuit = instance.circuit
-    out_wires = instance.output_wires
-    per_pair: list[tuple[int, int, float]] = []
-    for index, (a, b) in enumerate(pairs):
-        states = instance.input_states([(a, b)])
-        states = np.repeat(states, shots, axis=0)
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, index)))
-        _noisy_trajectories(circuit, states, noise, rng)
-        values = read_value(out_wires, states)
-        expected = instance.expected_output_bits(a, b)
-        per_pair.append((a, b, float(np.mean(values == expected))))
-    mean = float(np.mean([p for _, _, p in per_pair]))
-    return ProbabilityEstimate(mean=mean, per_pair=tuple(per_pair),
+    expected = np.array([instance.expected_output_bits(a, b) for a, b in pairs],
+                        dtype=np.int64)
+    hits = np.zeros(len(pairs), dtype=np.int64)
+    for first, counts, values in _simulate(instance.circuit, instance.input_states(pairs),
+                                           shots, noise, seed, instance.output_wires):
+        span = slice(first, first + len(counts))
+        correct = values == np.repeat(expected[span], counts)
+        hits[span] += np.add.reduceat(correct, np.cumsum(counts) - counts, dtype=np.int64)
+    frequencies = hits / shots
+    per_pair = tuple((a, b, f) for (a, b), f in zip(pairs, frequencies.tolist()))
+    return ProbabilityEstimate(mean=float(np.mean(frequencies)), per_pair=per_pair,
                                shots=shots, seed=seed)
 
 

@@ -291,3 +291,30 @@ def test_adder_instance_requires_metadata():
     from qrns.circuit import Circuit, cx
     with pytest.raises(ValueError):
         adder_instance(Circuit(2, (cx(0, 1),)))
+
+
+def test_adder_instance_requires_register_b_and_an_output():
+    from qrns.circuit import TAG_INPUT, TAG_OUTPUT, Circuit, Register, cx
+    meta = {"family": "mod-pow2", "n": "1"}
+    a = Register("A", (0,), frozenset({TAG_INPUT}))
+    for registers in [(a, Register("S", (1,), frozenset({TAG_INPUT, TAG_OUTPUT}))),
+                      (a, Register("B", (1,), frozenset({TAG_INPUT})))]:
+        with pytest.raises(ValueError, match="register 'B'"):
+            adder_instance(Circuit(2, (cx(0, 1),), registers, "mod-pow2", meta))
+
+
+@pytest.mark.parametrize("family,n", [
+    (AdderFamily.FULL, 70), (AdderFamily.MOD_POW2_PLUS1, 64),
+    (AdderFamily.MOD_POW2, 64), (AdderFamily.FULL, 3),
+])
+def test_input_states_match_operand_inputs(family, n):
+    # Packing all pairs at once agrees with the per-register operand
+    # loader, also for codewords too wide for 64-bit integers.
+    instance = make_adder(family, n)
+    top = instance.value_count - 1
+    pairs = [(0, top), (top, 1), (top // 3, top // 7)]
+    states = instance.input_states(pairs)
+    for row, (a, b) in zip(states, pairs):
+        for name, value in instance.operand_inputs(a, b).items():
+            wires = instance.circuit.register(name).qubits
+            assert sum(int(row[w]) << i for i, w in enumerate(wires)) == value

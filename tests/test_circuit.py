@@ -207,6 +207,10 @@ def test_from_text_names_the_malformed_line(text, message):
 
 _NAMES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1,
                  max_size=6)
+# Identifier-like names, or any text at all: spaces, '=', line breaks and
+# empty strings, which the text format cannot carry.
+_ANY_NAMES = st.one_of(_NAMES, st.text(max_size=6),
+                       st.text(alphabet=" =\n\r\x1cA#", max_size=4))
 
 
 @st.composite
@@ -223,21 +227,40 @@ def _circuits(draw):
     cuts = sorted(draw(st.sets(st.integers(1, width - 1))))
     groups = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [width])]
     groups = groups[:draw(st.integers(0, len(groups)))]
-    names = draw(st.lists(_NAMES, min_size=len(groups), max_size=len(groups),
+    groups += [()] * draw(st.integers(0, 1))
+    names = draw(st.lists(_ANY_NAMES, min_size=len(groups), max_size=len(groups),
                           unique=True))
     registers = tuple(
         Register(name, tuple(group), draw(st.frozensets(st.sampled_from(sorted(VALID_TAGS)))))
         for name, group in zip(names, groups)
     )
     return Circuit(width, tuple(gates), registers,
-                   draw(st.one_of(st.just(""), _NAMES)),
-                   draw(st.dictionaries(_NAMES, _NAMES, max_size=3)))
+                   draw(st.one_of(st.just(""), _ANY_NAMES)),
+                   draw(st.dictionaries(_ANY_NAMES, _ANY_NAMES, max_size=3)))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_circuits())
 def test_text_round_trip_of_random_circuits(circuit):
-    assert from_text(to_text(circuit)) == circuit
+    # Every circuit that validate() accepts must come back equal.
+    if not validate(circuit):
+        assert from_text(to_text(circuit)) == circuit
+
+
+@pytest.mark.parametrize("circuit,message", [
+    (Circuit(2, registers=(Register("my reg", (0, 1)),)), "register name"),
+    (Circuit(2, registers=(Register("", (0,)),)), "register name"),
+    (Circuit(2, registers=(Register("A", ()),)), "no qubits"),
+    (Circuit(2, meta={"a=b": "c"}), "meta key"),
+    (Circuit(2, meta={"": "c"}), "meta key"),
+    (Circuit(2, meta={"a b": "c"}), "meta key"),
+    (Circuit(2, meta={"a": "c\nd"}), "not one trimmed line"),
+    (Circuit(2, meta={"a": " c"}), "not one trimmed line"),
+    (Circuit(2, name="x\ny"), "circuit name"),
+])
+def test_validate_refuses_what_the_text_format_cannot_carry(circuit, message):
+    errors = validate(circuit)
+    assert len(errors) == 1 and message in errors[0]
 
 
 _TOKENS = st.sampled_from([

@@ -182,6 +182,52 @@ def test_run_malformed_circuit_file(capsys, tmp_path):
     assert "line 2" in stderr
 
 
+def test_dqc_add_operand_outside_range_is_usage_error(capsys):
+    code, stdout, stderr = run_cli(capsys, "dqc-add", "--a", "-5", "--b", "2",
+                                   "--k", "64")
+    assert code == 1
+    assert stdout == ""
+    assert "operands must lie in [0, 60)" in stderr
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("5", "sizes must be >= 6"),
+    ("x", "not a size list"),
+    ("8..6", "empty size range"),
+])
+def test_compare_bad_sizes_are_usage_errors(capsys, sizes, message):
+    code, stdout, stderr = run_cli(capsys, "compare", "--sizes", sizes)
+    assert code == 1
+    assert stdout == ""
+    assert message in stderr
+
+
+def test_run_circuit_file_without_register_b_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "no_b.txt"
+    path.write_text("# meta family=mod-pow2\n# meta n=1\nqubits 2\n"
+                    "reg A 0 input,pass\nreg S 1 input,output\ncx 0 1\n")
+    code, stdout, stderr = run_cli(capsys, "run", "--circuit", str(path),
+                                   "--noise", "zero", "--shots", "2")
+    assert code == 1
+    assert stdout == ""
+    assert "register 'B'" in stderr
+
+
+def test_dqc_add_reports_correct_outcome_probability(capsys):
+    argv = ("dqc-add", "--a", "300", "--b", "500", "--k", "1024")
+    code, stdout, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["correct"] is True
+    assert payload["reconstructed"] == 800
+    for job in payload["jobs"]:
+        assert 0.0 < job["correct_probability"] <= 1.0
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "correct yes" in stdout.splitlines()
+    assert stdout.count("correct outcome p=") == len(payload["jobs"])
+
+
 def test_dqc_add_overflow_is_simulation_error(capsys):
     code, _, stderr = run_cli(capsys, "dqc-add", "--a", "30", "--b", "30",
                               "--k", "64", "--efficiency", "0.9")

@@ -100,6 +100,17 @@ def test_aggregate_min_and_product_rules():
     assert summed.end_to_end_probability <= summed.set_output_probability
 
 
+def test_correct_probability_reads_the_oracle_bits():
+    jobs = plan_jobs(17, 25, RNS345, shots=500, base_seed=4)
+    results = execute_jobs(jobs, workers=2, noise=DEFAULT_NOISE)
+    for job, result in zip(jobs, results):
+        assert result.correct_probability == (
+            result.histogram[job.expected_bits] / job.shots)
+        assert 0.0 < result.correct_probability <= 1.0
+    zero = execute_jobs(jobs, workers=1, noise=NoiseModel.zero())
+    assert [r.correct_probability for r in zero] == [1.0, 1.0, 1.0]
+
+
 def test_single_modulus_set_aggregates_to_job_value():
     rns = RnsSet.from_moduli((5,))
     result = distributed_add(2, 2, rns, NoiseModel.zero(), shots=30,
