@@ -133,7 +133,11 @@ def cmd_select(args) -> int:
         depth_source=DepthSource(args.depth_source),
         force_pow2m1_for_3=args.force_minus1_for_3,
     )
-    trace = explain_selection(cfg)
+    try:
+        trace = explain_selection(cfg)
+    except KeyError as exc:  # a pool modulus outside the paper's depth table
+        raise UsageError(f"{exc.args[0]}; use --depth-source built for "
+                         "moduli outside the paper table") from exc
     rns = RnsSet.from_moduli(trace.final_moduli, cfg.force_pow2m1_for_3)
     if args.json:
         payload = {
@@ -282,6 +286,9 @@ def _sizes(text: str) -> list[int]:
 
 
 def cmd_compare(args) -> int:
+    # The smallest size stands for all: only K differs between sizes.
+    _selector_config(k=2**min(args.sizes), efficiency=args.efficiency,
+                     depth_source=DepthSource(args.depth_source))
     noise = _noise_from_arg(args.noise)
     document = build_table2(
         sizes=args.sizes,
@@ -315,13 +322,19 @@ def _emit(document: ReportDocument, args) -> None:
 def cmd_calibrate(args) -> int:
     targets = []
     wanted = set(args.rows.split(",")) if args.rows else None
+    known: set[str] = set()
     for ref in MODULI_ROWS:
-        label = f"{ref.modulus}:{ref.family.value}"
+        labels = {f"{ref.modulus}:{ref.family.value}"}
         # A bare modulus picks the default family tagging (3 -> 2^n+1).
-        bare = str(ref.modulus) if label != "3:mod-pow2-minus1" else None
-        if wanted is None or label in wanted or bare in wanted:
+        if (ref.modulus, ref.family) != (3, AdderFamily.MOD_POW2_MINUS1):
+            labels.add(str(ref.modulus))
+        known |= labels
+        if wanted is None or labels & wanted:
             targets.append((adder_instance(build_adder(ref.family, ref.n)),
                             ref.output_probability))
+    if wanted is not None and wanted - known:
+        raise UsageError(f"unknown --rows labels {', '.join(sorted(wanted - known))}; "
+                         f"known: {', '.join(sorted(known))}")
     result = calibrate_noise(targets, shots=args.shots, seed=args.seed,
                              max_rounds=args.rounds)
     model = result.model
@@ -406,7 +419,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rows", help="comma list like '2,8,9' or '3:mod-pow2-plus1'")
     p.add_argument("--shots", type=_positive_int, default=300)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--rounds", type=int, default=10)
+    p.add_argument("--rounds", type=_positive_int, default=10)
     p.add_argument("--out", help="write the fitted model to this file")
     p.set_defaults(func=cmd_calibrate)
 

@@ -1,21 +1,23 @@
 """Moduli-set selection for a target range under an efficiency floor.
 
 The selector picks a pairwise-coprime set from the 2^n-1 / 2^n / 2^n+1
-families whose product covers at least E*K, preferring sets that cover the
-full range, then minimizing the worst per-modulus Toffoli depth, breaking
-ties toward smaller moduli sums and finally lexicographically.  When no
-set of the requested size qualifies, the set size is incremented.
+families whose product covers at least E*K and stays below 2^64,
+preferring sets that cover the full range, then minimizing the worst
+per-modulus Toffoli depth, breaking ties toward smaller moduli sums and
+finally lexicographically.  When no set of the requested size qualifies,
+the set size is incremented.
 """
 from __future__ import annotations
 
-import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .adders import build_for_modulus
 from .resources import resource_report
-from .rns import RnsSet, is_pairwise_coprime, rns_range
+from .rns import RANGE_LIMIT, RnsSet, rns_range
 
 # Reported per-modulus Toffoli depths from the published resource table.
 # 3 uses the 2^n+1 design (depth 4); the 2^n-1 variant is depth 6 there.
@@ -84,6 +86,8 @@ class SelectorConfig:
             raise ValueError(f"moduli count must be >= 2, got {self.count}")
         if self.count > C_CEILING:
             raise ValueError(f"moduli count must be <= {C_CEILING}, got {self.count}")
+        if self.max_n < 1:
+            raise ValueError(f"max_n must be >= 1, got {self.max_n}")
 
     @property
     def pool(self) -> tuple[int, ...]:
@@ -135,6 +139,9 @@ def _exact_power_shortcut(cfg: SelectorConfig, trace: SelectionTrace) -> tuple[i
     for m in moduli:
         total *= m
     trace.log(f"K={k} = 2^(3*{h}): shortcut candidate {moduli}, range {total}")
+    if total >= RANGE_LIMIT:
+        trace.log(f"shortcut rejected: range {total} >= 2^64; enumerating")
+        return None
     if total >= cfg.threshold:
         trace.log(
             f"shortcut accepted: range {total} >= E*K = {cfg.threshold:g}"
@@ -150,16 +157,44 @@ def _sort_key(c: Candidate) -> tuple:
     return (not c.full_coverage, c.max_depth, c.moduli_sum, c.moduli)
 
 
+def _coprime_subsets(pool: tuple[int, ...], count: int,
+                     threshold: float) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (moduli, product) for every pairwise-coprime `count`-subset of
+    the ascending `pool` with threshold <= product < 2^64, in lexicographic
+    order.
+
+    A depth-first search: a partial set is extended only by later moduli
+    coprime to its product, a branch is cut when even the largest moduli
+    left cannot lift its product to the threshold, and a loop stops once
+    the product reaches 2^64, because later moduli are larger.
+    """
+    # top[j]: product of the j largest pool moduli, an upper bound on any
+    # j further choices.
+    top = [1]
+    for m in reversed(pool):
+        top.append(top[-1] * m)
+
+    def extend(start: int, chosen: tuple[int, ...],
+               product: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        need = count - len(chosen)
+        for i in range(start, len(pool) - need + 1):
+            m = pool[i]
+            total = product * m
+            if total >= RANGE_LIMIT:
+                return
+            if total * top[need - 1] < threshold or math.gcd(product, m) != 1:
+                continue
+            if need == 1:
+                yield chosen + (m,), total
+            else:
+                yield from extend(i + 1, chosen + (m,), total)
+
+    return extend(0, (), 1)
+
+
 def _enumerate(cfg: SelectorConfig, count: int, trace: SelectionTrace) -> Candidate | None:
     qualifying: list[Candidate] = []
-    for combo in itertools.combinations(cfg.pool, count):
-        if not is_pairwise_coprime(combo):
-            continue
-        total = 1
-        for m in combo:
-            total *= m
-        if total < cfg.threshold:
-            continue
+    for combo, total in _coprime_subsets(cfg.pool, count, cfg.threshold):
         qualifying.append(Candidate(
             moduli=combo,
             range=total,
@@ -208,8 +243,8 @@ def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
         count += 1
         if count <= C_CEILING:
             trace.log(f"incrementing moduli count to C={count}")
-    constraint = (f"range >= E*K = {cfg.threshold:g} with pool {cfg.pool} "
-                  f"and C <= {C_CEILING}")
+    constraint = (f"range >= E*K = {cfg.threshold:g} and range < 2^64 "
+                  f"with pool {cfg.pool} and C <= {C_CEILING}")
     trace.log(f"infeasible: {constraint}")
     raise SelectionError(f"no qualifying moduli set: {constraint}", constraint)
 

@@ -144,6 +144,30 @@ def test_non_positive_counts_are_usage_errors(capsys, argv):
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("compare", "--sizes", "6", "--efficiency", "0"), "efficiency must be in (0, 1]"),
+    (("calibrate", "--rows", "bogus,2"), "unknown --rows labels bogus;"),
+    (("calibrate", "--rounds", "-1", "--rows", "2,4,8", "--shots", "5"),
+     "--rounds: must be >= 1"),
+    (("select", "--k", "1000", "--max-n", "0"), "max_n must be >= 1"),
+    (("select", "--k", "20000", "--max-n", "4"),
+     "no reference depth for modulus 15; use --depth-source built"),
+])
+def test_bad_options_are_usage_errors(capsys, argv, message):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert message in stderr
+
+
+def test_select_range_beyond_2_64_is_infeasible(capsys):
+    code, stdout, stderr = run_cli(capsys, "select", "--k", str(2**70),
+                                   "--max-n", "14", "--depth-source", "built")
+    assert code == 2
+    assert stdout == ""
+    assert "range < 2^64" in stderr
+
+
 def test_dqc_add_small_k_is_usage_error(capsys):
     code, _, stderr = run_cli(capsys, "dqc-add", "--a", "1", "--b", "2",
                               "--k", "10")

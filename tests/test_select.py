@@ -1,13 +1,19 @@
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from qrns.rns import RnsSet, rns_range
+from qrns.rns import RANGE_LIMIT, RnsSet, rns_range
 from qrns.select import (
+    C_CEILING,
+    Candidate,
     DepthSource,
     SelectionError,
     SelectorConfig,
+    _sort_key,
     explain_selection,
     moduli_pool,
     select_rns,
@@ -68,6 +74,8 @@ def test_config_validation():
         SelectorConfig(k=64, efficiency=0.0)
     with pytest.raises(ValueError):
         SelectorConfig(k=64, count=1)
+    with pytest.raises(ValueError, match="max_n must be >= 1"):
+        SelectorConfig(k=64, max_n=0)
 
 
 def test_trace_exact_power_shortcut():
@@ -154,3 +162,90 @@ def test_forced_minus1_propagates_to_set():
 def test_larger_pool_feasible_for_huge_k():
     rns = select_rns(SelectorConfig(k=2**12, max_n=4))
     assert rns_range(rns) >= 0.9 * 2**12
+
+
+# --- the depth-first search against a brute-force reference ---------------
+
+@lru_cache(maxsize=None)
+def _coprime_combos(max_n: int, count: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every pairwise-coprime `count`-subset of the pool, with its product."""
+    return tuple(
+        (combo, math.prod(combo))
+        for combo in itertools.combinations(moduli_pool(max_n), count)
+        if all(math.gcd(a, b) == 1 for a, b in itertools.combinations(combo, 2))
+    )
+
+
+def _reference_candidates(cfg: SelectorConfig) -> list[tuple[int, ...]]:
+    """Qualifying subsets of the first count that has any, in trace order."""
+    for count in range(cfg.count, C_CEILING + 1):
+        qualifying = [
+            Candidate(combo, total, max(cfg.depth_of(m) for m in combo),
+                      total >= cfg.k, "")
+            for combo, total in _coprime_combos(cfg.max_n, count)
+            if cfg.threshold <= total < RANGE_LIMIT
+        ]
+        if qualifying:
+            return [c.moduli for c in sorted(qualifying, key=_sort_key)]
+    return []
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(max_n=st.integers(1, 10), count=st.integers(2, 6),
+       k=st.integers(6, 62).flatmap(lambda e: st.integers(max(50, 2**(e - 1)), 2**e)),
+       efficiency=st.floats(0.05, 1.0))
+def test_search_matches_brute_force(max_n, count, k, efficiency):
+    cfg = SelectorConfig(k=k, count=count, efficiency=efficiency, max_n=max_n,
+                         depth_source=DepthSource.BUILT)
+    expected = _reference_candidates(cfg)
+    try:
+        trace = explain_selection(cfg)
+    except SelectionError:
+        assert expected == []
+        return
+    assume(trace.candidates)  # the exact-power shortcut enumerates nothing
+    assert [c.moduli for c in trace.candidates] == expected
+    assert trace.final_moduli == tuple(sorted(expected[0]))
+
+
+@pytest.mark.parametrize("max_n,k,expected,candidates", [
+    (8, 2**40, (17, 65, 127, 129, 256, 257), 4),
+    (10, 2**50, (127, 129, 257, 511, 512, 1025), 19),
+])
+def test_built_depth_selections(max_n, k, expected, candidates):
+    trace = explain_selection(SelectorConfig(k=k, max_n=max_n,
+                                             depth_source=DepthSource.BUILT))
+    assert trace.final_moduli == expected
+    assert len(trace.candidates) == candidates
+
+
+def test_built_depth_selection_infeasible_at_2_56():
+    with pytest.raises(SelectionError):
+        explain_selection(SelectorConfig(k=2**56, max_n=10,
+                                         depth_source=DepthSource.BUILT))
+
+
+def test_sets_reaching_2_64_do_not_qualify():
+    # Every full-coverage set for K = 2^64 reaches the limit, so the
+    # winner covers E*K only partially.
+    cfg = SelectorConfig(k=2**64, max_n=12, depth_source=DepthSource.BUILT)
+    trace = explain_selection(cfg)
+    assert trace.candidates
+    assert all(c.range < RANGE_LIMIT and not c.full_coverage
+               for c in trace.candidates)
+    assert cfg.threshold <= rns_range(select_rns(cfg)) < RANGE_LIMIT
+
+
+def test_infeasible_beyond_2_64_names_the_limit():
+    with pytest.raises(SelectionError, match=r"range < 2\^64"):
+        explain_selection(SelectorConfig(k=2**70, max_n=14,
+                                         depth_source=DepthSource.BUILT))
+
+
+def test_shortcut_refuses_a_range_reaching_2_64():
+    trace = explain_selection(SelectorConfig(k=2**66, efficiency=0.2, max_n=12,
+                                             depth_source=DepthSource.BUILT))
+    assert any("shortcut rejected: range" in e and ">= 2^64" in e
+               for e in trace.events)
+    assert math.prod(trace.final_moduli) < RANGE_LIMIT
