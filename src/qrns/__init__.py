@@ -25,7 +25,6 @@ from .circuit import (
     Gate,
     GateKind,
     Register,
-    apply_permutation,
     assert_valid,
     ccx,
     cx,
@@ -54,7 +53,6 @@ from .noise import (
     calibrate_noise,
     derive_seed,
     output_probability,
-    run_exact,
     run_shots,
 )
 from .resources import ResourceReport, resource_report

@@ -389,13 +389,9 @@ class AdderInstance:
         return self.modulus or 2**self.n
 
     @cached_property
-    def _a_registers(self) -> tuple[Register, ...]:
-        return tuple(reg for reg in self.circuit.registers_tagged(TAG_INPUT)
-                     if reg.name != "B")
-
-    @cached_property
     def a_wires(self) -> tuple[int, ...]:
-        return tuple(q for reg in self._a_registers for q in reg.qubits)
+        return tuple(q for reg in self.circuit.registers_tagged(TAG_INPUT)
+                     if reg.name != "B" for q in reg.qubits)
 
     @cached_property
     def b_wires(self) -> tuple[int, ...]:
@@ -422,21 +418,19 @@ class AdderInstance:
             return a + b
         return self.encode_operand(classical_mod_add(a, b, self.modulus))
 
-    def operand_inputs(self, a: int, b: int) -> dict[str, int]:
-        """Per-register values for run_shots: encoded A spread LSB first
-        over its registers, encoded B on register B."""
-        inputs = {}
-        bits = self.encode_operand(a)
-        for reg in self._a_registers:
-            inputs[reg.name] = bits % 2**reg.size
-            bits >>= reg.size
-        inputs["B"] = self.encode_operand(b)
-        return inputs
-
     def input_states(self, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """One basis state per pair, the encoded operands on their wires."""
+        """One basis state per (a, b) pair, the encoded operands on their
+        wires and every other wire at zero.
+
+        This is the one operand packer: every noiseless and noisy run
+        starts from its rows.  Operands outside [0, value_count) raise
+        ValueError.
+        """
+        count = self.value_count
         states = np.zeros((len(pairs), self.circuit.width), dtype=np.uint8)
         for wires, values in zip((self.a_wires, self.b_wires), zip(*pairs)):
+            if min(values) < 0 or max(values) >= count:
+                raise ValueError(f"operands must lie in [0, {count})")
             # Codewords wider than 64 bits stay Python ints.
             codes = np.array([self.encode_operand(v) for v in values],
                              dtype=np.uint64 if len(wires) <= 64 else object)

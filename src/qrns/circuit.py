@@ -168,19 +168,6 @@ def assert_valid(circuit: Circuit) -> None:
         raise CircuitValidationError(errors)
 
 
-def apply_permutation(circuit: Circuit, bits: str) -> str:
-    """Apply the circuit to one basis state.
-
-    ``bits[i]`` is qubit ``i``.  NOT flips its qubit, CNOT flips the target
-    iff the control is 1, Toffoli iff both controls are 1.
-    """
-    if len(bits) != circuit.width:
-        raise ValueError(f"expected {circuit.width} bits, got {len(bits)}")
-    state = np.array([int(b) for b in bits], dtype=np.uint8)[np.newaxis, :]
-    apply_permutation_batch(circuit, state)
-    return "".join(str(int(b)) for b in state[0])
-
-
 def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
                             error_rates: Sequence[float] | None = None,
                             rng: np.random.Generator | None = None) -> np.ndarray:
@@ -221,14 +208,11 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
     return states
 
 
-def pack_value(value: int | np.ndarray, wires: Sequence[int], state: np.ndarray) -> None:
-    """Write ``value`` little-endian onto ``wires`` of a (count, width) state.
-
-    ``value`` is one int for every row, or an integer array with one value
-    per row.
-    """
+def pack_value(values: np.ndarray, wires: Sequence[int], state: np.ndarray) -> None:
+    """Write ``values``, one integer per row, little-endian onto ``wires``
+    of a (count, width) state."""
     for i, w in enumerate(wires):
-        state[:, w] = (value >> i) & 1
+        state[:, w] = (values >> i) & 1
 
 
 # read_value packs each measured row into an int64, so 63 wires at most.

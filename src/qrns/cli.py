@@ -15,6 +15,7 @@ from .adders import (
     adder_instance,
     build_adder,
     build_for_modulus,
+    make_adder,
 )
 from .circuit import check_readable, from_text, to_text
 from .distributed import MIN_SIZE, distributed_add
@@ -89,23 +90,26 @@ def _noise_from_arg(spec: str) -> NoiseModel:
     return NoiseModel.from_file(str(path))
 
 
-def _print_resource_report(circuit, out=None) -> None:
-    out = out if out is not None else sys.stdout
+# (label, ResourceReport field, reference ModuliRow field or None)
+_RESOURCE_LINES = (
+    ("qubits", "qubit_count", "qubits"),
+    ("toffoli count", "toffoli_count", "toffoli_count"),
+    ("cnot count", "cnot_count", "cnot_count"),
+    ("not count", "not_count", None),
+    ("toffoli depth", "toffoli_depth", "toffoli_depth"),
+    ("cnot depth", "cnot_depth", "cnot_depth"),
+    ("total depth", "total_depth", None),
+)
+
+
+def _print_resource_report(circuit) -> None:
     report = resource_report(circuit)
     instance = adder_instance(circuit)
     ref = moduli_row(instance.modulus, instance.family) if instance.modulus else None
-    print(f"qubits         {report.qubit_count}"
-          + (deviation_flag(report.qubit_count, ref.qubits) if ref else ""), file=out)
-    print(f"toffoli count  {report.toffoli_count}"
-          + (deviation_flag(report.toffoli_count, ref.toffoli_count) if ref else ""), file=out)
-    print(f"cnot count     {report.cnot_count}"
-          + (deviation_flag(report.cnot_count, ref.cnot_count) if ref else ""), file=out)
-    print(f"not count      {report.not_count}", file=out)
-    print(f"toffoli depth  {report.toffoli_depth}"
-          + (deviation_flag(report.toffoli_depth, ref.toffoli_depth) if ref else ""), file=out)
-    print(f"cnot depth     {report.cnot_depth}"
-          + (deviation_flag(report.cnot_depth, ref.cnot_depth) if ref else ""), file=out)
-    print(f"total depth    {report.total_depth}", file=out)
+    for label, field, ref_field in _RESOURCE_LINES:
+        value = getattr(report, field)
+        flag = deviation_flag(value, getattr(ref, ref_field)) if ref and ref_field else ""
+        print(f"{label:<15}{value}{flag}")
 
 
 def cmd_synth(args) -> int:
@@ -174,7 +178,7 @@ def _build_run_target(spec: str):
     if ":" in spec:
         name, _, n_text = spec.partition(":")
         if name in FAMILY_NAMES:
-            return adder_instance(build_adder(FAMILY_NAMES[name], int(n_text)))
+            return make_adder(FAMILY_NAMES[name], int(n_text))
     raise UsageError(
         f"{spec!r} is neither a circuit file, 'mod:<modulus>', nor "
         f"'<family>:<n>' with family in {sorted(set(FAMILY_NAMES))}"
@@ -187,16 +191,16 @@ def cmd_run(args) -> int:
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:
-        count = instance.value_count
-        if not (0 <= args.a < count and 0 <= args.b < count):
-            raise UsageError(f"operands must lie in [0, {count})")
-        histogram = run_shots(instance.circuit,
-                              instance.operand_inputs(args.a, args.b),
-                              args.shots, noise, args.seed, instance.output_wires)
+        try:
+            inputs = instance.input_states([(args.a, args.b)])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        histogram = run_shots(instance.circuit, inputs, args.shots, noise,
+                              args.seed, instance.output_wires)
         expected = instance.expected_output_bits(args.a, args.b)
-        rows = [(f"{bits:0{len(instance.output_wires)}b}", count_,
+        rows = [(f"{bits:0{len(instance.output_wires)}b}", count,
                  "expected" if bits == expected else "")
-                for bits, count_ in sorted(histogram.items())]
+                for bits, count in sorted(histogram.items())]
         if args.json:
             print(json.dumps({
                 "a": args.a, "b": args.b, "shots": args.shots, "seed": args.seed,
@@ -204,8 +208,8 @@ def cmd_run(args) -> int:
                 "expected": f"{expected:0{len(instance.output_wires)}b}",
             }, indent=2, sort_keys=True))
         else:
-            for bits, count_, note in rows:
-                print(f"{bits}  {count_:6d}  {note}".rstrip())
+            for bits, count, note in rows:
+                print(f"{bits}  {count:6d}  {note}".rstrip())
         return EXIT_OK
     estimate = output_probability(instance, noise, shots=args.shots,
                                   seed=args.seed, sampling=args.sample)
@@ -330,8 +334,7 @@ def cmd_calibrate(args) -> int:
             labels.add(str(ref.modulus))
         known |= labels
         if wanted is None or labels & wanted:
-            targets.append((adder_instance(build_adder(ref.family, ref.n)),
-                            ref.output_probability))
+            targets.append((make_adder(ref.family, ref.n), ref.output_probability))
     if wanted is not None and wanted - known:
         raise UsageError(f"unknown --rows labels {', '.join(sorted(wanted - known))}; "
                          f"known: {', '.join(sorted(known))}")

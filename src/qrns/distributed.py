@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adders import AdderFamily, AdderInstance, adder_instance, build_adder
+from .adders import AdderFamily, AdderInstance, make_adder
 from .noise import NoiseModel, derive_seed, output_probability, run_shots
 from .resources import ResourceReport, resource_report
 from .rns import (
@@ -94,7 +94,7 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int, base_seed: int,
         if instances and modulus in instances:
             instance = instances[modulus]
         else:
-            instance = adder_instance(build_adder(family, n))
+            instance = make_adder(family, n)
         jobs.append(ResidueJob(
             job_id=index,
             modulus=modulus,
@@ -110,7 +110,7 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int, base_seed: int,
 def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
     instance = job.instance
     histogram = run_shots(instance.circuit,
-                          instance.operand_inputs(job.a_residue, job.b_residue),
+                          instance.input_states([(job.a_residue, job.b_residue)]),
                           job.shots, noise, job.seed, instance.output_wires)
     top_count = max(histogram.values())
     modal = sorted(bits for bits, count in histogram.items() if count == top_count)
@@ -227,10 +227,6 @@ class ComparisonRow:
     set_probability: float
     gain_percent: float | None
 
-    @property
-    def mono_qubits(self) -> int:
-        return self.mono_report.qubit_count
-
 
 def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
                 seed: int = 0, shots_mod: int = MOD_SHOTS,
@@ -251,7 +247,7 @@ def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
         cfg = SelectorConfig(k=2**size, efficiency=efficiency,
                              depth_source=depth_source)
         rns = select_rns(cfg)
-        instances = {m: adder_instance(build_adder(fam, n))
+        instances = {m: make_adder(fam, n)
                      for m, (fam, n) in zip(rns.moduli, rns.families)}
         set_prob = 1.0
         reports = {}
@@ -263,7 +259,7 @@ def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
                     seed=derive_seed(seed, "mod", modulus), sampling=sampling,
                 ).mean
             set_prob = min(set_prob, mod_probs[modulus])
-        mono = adder_instance(build_adder(AdderFamily.FULL, size - 1))
+        mono = make_adder(AdderFamily.FULL, size - 1)
         mono_report = resource_report(mono.circuit)
         if mono_report.qubit_count <= budget:
             mono_prob = output_probability(

@@ -17,7 +17,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .circuit import (
     GateKind,
     apply_permutation_batch,
     check_readable,
-    pack_value,
     read_value,
 )
 
@@ -99,32 +98,6 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _initial_state(circuit: Circuit, inputs: Mapping[str, int]) -> np.ndarray:
-    """The (1, width) basis state with each register of ``inputs`` set."""
-    state = np.zeros((1, circuit.width), dtype=np.uint8)
-    names = {reg.name for reg in circuit.registers}
-    unknown = set(inputs) - names
-    if unknown:
-        raise ValueError(f"assignments for unknown registers: {sorted(unknown)}")
-    for reg in circuit.registers:
-        value = inputs.get(reg.name)
-        if value is None:
-            continue
-        if not 0 <= value < 2**reg.size:
-            raise ValueError(f"value {value} does not fit register {reg.name}")
-        pack_value(value, reg.qubits, state)
-    return state
-
-
-def run_exact(circuit: Circuit, inputs: Mapping[str, int]) -> str:
-    """Noiseless result as a full-width bitstring (qubit i at position i).
-
-    Unassigned registers (ancillas) start at zero.
-    """
-    state = apply_permutation_batch(circuit, _initial_state(circuit, inputs))
-    return "".join(str(int(b)) for b in state[0])
-
-
 def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
               noise: NoiseModel, seed: int,
               measure: Sequence[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -149,19 +122,22 @@ def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
             circuit, np.repeat(inputs[first:last + 1], counts, axis=0), rates, rng))
 
 
-def run_shots(circuit: Circuit, inputs: Mapping[str, int], shots: int,
+def run_shots(circuit: Circuit, inputs: np.ndarray, shots: int,
               noise: NoiseModel, seed: int,
               measure: Sequence[int]) -> Counter[int]:
     """Histogram of the measured wires' value over noisy repetitions.
 
+    ``inputs`` is the (1, width) state of ``instance.input_states([(a, b)])``.
     Deterministic for a given (inputs, shots, noise, seed).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if np.shape(inputs) != (1, circuit.width):
+        raise ValueError(f"inputs must be one (1, {circuit.width}) state, "
+                         f"got shape {np.shape(inputs)}")
     check_readable(measure)
-    initial = _initial_state(circuit, inputs)
     histogram: Counter[int] = Counter()
-    for _, _, values in _simulate(circuit, initial, shots, noise, seed, measure):
+    for _, _, values in _simulate(circuit, inputs, shots, noise, seed, measure):
         outcomes, counts = np.unique(values, return_counts=True)
         histogram.update(dict(zip(outcomes.tolist(), counts.tolist())))
     return histogram

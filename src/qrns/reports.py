@@ -10,7 +10,7 @@ from enum import Enum
 from typing import Any
 
 from . import __version__
-from .adders import adder_instance, build_adder
+from .adders import make_adder
 from .distributed import FULL_SHOTS, MOD_SHOTS, gain_report
 from .noise import NoiseModel, derive_seed, output_probability
 from .reference import MODULI_ROWS, comparison_row, deviation_flag
@@ -99,7 +99,7 @@ def build_table1(noise: NoiseModel, shots: int, seed: int) -> ReportDocument:
     modulo adders, next to the reported values."""
     rows = []
     for ref in MODULI_ROWS:
-        instance = adder_instance(build_adder(ref.family, ref.n))
+        instance = make_adder(ref.family, ref.n)
         report = resource_report(instance.circuit)
         estimate = output_probability(
             instance, noise, shots=shots,

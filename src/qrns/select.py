@@ -6,6 +6,12 @@ preferring sets that cover the full range, then minimizing the worst
 per-modulus Toffoli depth, breaking ties toward smaller moduli sums and
 finally lexicographically.  When no set of the requested size qualifies,
 the set size is incremented.
+
+One case skips the search: for K = 2^(3h), h >= 2, the special set
+(2^h-1, 2^h, 2^h+1) is taken whenever its range reaches E*K and stays
+below 2^64, whatever max_n and the depth source are, so its moduli may
+lie outside the pool (K = 2^12 gives (15, 16, 17) at the default
+max_n = 3).
 """
 from __future__ import annotations
 
@@ -15,14 +21,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
-from .adders import build_for_modulus
+from .adders import build_for_modulus, family_for_modulus
+from .reference import moduli_row
 from .resources import resource_report
 from .rns import RANGE_LIMIT, RnsSet, rns_range
-
-# Reported per-modulus Toffoli depths from the published resource table.
-# 3 uses the 2^n+1 design (depth 4); the 2^n-1 variant is depth 6 there.
-PAPER_TABLE_DEPTHS = {2: 0, 3: 4, 4: 1, 5: 6, 7: 12, 8: 3, 9: 9}
-PAPER_TABLE_DEPTH_3_MINUS1 = 6
 
 # Largest moduli count the selector tries before giving up.
 C_CEILING = 6
@@ -59,13 +61,15 @@ def _built_depth(modulus: int, force_pow2m1_for_3: bool) -> int:
 
 def toffoli_depth_of(modulus: int, source: DepthSource,
                      force_pow2m1_for_3: bool = False) -> int:
+    """Toffoli depth of the modulus's adder: built and measured, or the
+    published table's value for the family the modulus maps to (3 is the
+    2^n+1 design unless the 2^n-1 variant is forced)."""
     if source is DepthSource.BUILT:
         return _built_depth(modulus, force_pow2m1_for_3)
-    if modulus == 3 and force_pow2m1_for_3:
-        return PAPER_TABLE_DEPTH_3_MINUS1
-    if modulus not in PAPER_TABLE_DEPTHS:
+    row = moduli_row(modulus, family_for_modulus(modulus, force_pow2m1_for_3)[0])
+    if row is None:
         raise KeyError(f"no reference depth for modulus {modulus}")
-    return PAPER_TABLE_DEPTHS[modulus]
+    return row.toffoli_depth
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,14 @@ class SelectionTrace:
 
 
 def _exact_power_shortcut(cfg: SelectorConfig, trace: SelectionTrace) -> tuple[int, ...] | None:
+    """The special set (2^h-1, 2^h, 2^h+1) for K = 2^(3h), h >= 2, if its
+    range lies in [E*K, 2^64); otherwise None and the search runs.
+
+    This is intended: the set is taken whatever max_n and the depth source
+    are, even when its moduli are not in the pool and the paper table has
+    no depth for them, so `qrns select --k 4096` gives (15, 16, 17) and
+    `--k 262144 --max-n 2` gives (63, 64, 65).
+    """
     k = cfg.k
     exponent = k.bit_length() - 1
     if k != 2**exponent or exponent % 3 != 0 or exponent // 3 < 2:

@@ -26,6 +26,11 @@ from qrns.circuit import (
 from qrns.resources import resource_report
 
 
+def wire_value(row, wires):
+    """The little-endian integer on ``wires`` of one state row."""
+    return sum(int(row[w]) << i for i, w in enumerate(wires))
+
+
 # --- classical oracle -------------------------------------------------------
 
 @pytest.mark.parametrize("a,b,m,expected", [
@@ -139,8 +144,10 @@ def test_qdma_wiring_comes_from_register_tags():
     assert instance.a_wires == reg("ALOW").qubits + reg("AMSB").qubits
     assert instance.output_wires == reg("ALOW").qubits + reg("MTOP").qubits
     # Zero is the codeword 0b1000: only the MSB register is set.
-    assert instance.operand_inputs(0, 4) == {"ALOW": 0, "AMSB": 1, "B": 0b011}
-    assert instance.operand_inputs(5, 0) == {"ALOW": 0b100, "AMSB": 0, "B": 0b1000}
+    zero_four, five_zero = instance.input_states([(0, 4), (5, 0)])
+    for row, values in [(zero_four, [0, 1, 0b011]), (five_zero, [0b100, 0, 0b1000])]:
+        assert [wire_value(row, reg(name).qubits)
+                for name in ("ALOW", "AMSB", "B")] == values
 
 
 # --- specific value examples ------------------------------------------------
@@ -308,13 +315,27 @@ def test_adder_instance_requires_register_b_and_an_output():
     (AdderFamily.MOD_POW2, 64), (AdderFamily.FULL, 3),
 ])
 def test_input_states_match_operand_inputs(family, n):
-    # Packing all pairs at once agrees with the per-register operand
-    # loader, also for codewords too wide for 64-bit integers.
+    # Each packed row holds the encoded operands on the A and B wires and
+    # zeros elsewhere, also for codewords too wide for 64-bit integers.
     instance = make_adder(family, n)
     top = instance.value_count - 1
     pairs = [(0, top), (top, 1), (top // 3, top // 7)]
     states = instance.input_states(pairs)
+    others = sorted(set(range(instance.circuit.width))
+                    - set(instance.a_wires + instance.b_wires))
     for row, (a, b) in zip(states, pairs):
-        for name, value in instance.operand_inputs(a, b).items():
-            wires = instance.circuit.register(name).qubits
-            assert sum(int(row[w]) << i for i, w in enumerate(wires)) == value
+        assert wire_value(row, instance.a_wires) == instance.encode_operand(a)
+        assert wire_value(row, instance.b_wires) == instance.encode_operand(b)
+        assert not row[others].any()
+
+
+@pytest.mark.parametrize("family,n,pair", [
+    (AdderFamily.MOD_POW2, 2, (9, 0)), (AdderFamily.MOD_POW2, 2, (0, 4)),
+    (AdderFamily.MOD_POW2, 2, (-1, 0)), (AdderFamily.FULL, 3, (9, 0)),
+    (AdderFamily.MOD_POW2_MINUS1, 3, (7, 0)), (AdderFamily.MOD_POW2_PLUS1, 2, (0, 5)),
+])
+def test_input_states_rejects_out_of_range_operands(family, n, pair):
+    # Packing must not truncate an operand to its wires or overflow numpy.
+    instance = make_adder(family, n)
+    with pytest.raises(ValueError, match=rf"\[0, {instance.value_count}\)"):
+        instance.input_states([(1, 1), pair])

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from qrns.circuit import (
     Gate,
     GateKind,
     Register,
-    apply_permutation,
     apply_permutation_batch,
     ccx,
     cx,
@@ -78,12 +75,15 @@ def test_validate_reports_every_violation():
     ((x(0),), "0", "1"),
 ])
 def test_apply_permutation_textbook(gates, bits, expected):
-    assert apply_permutation(Circuit(len(bits), gates), bits) == expected
+    states = np.array([[int(b) for b in bits]], dtype=np.uint8)
+    apply_permutation_batch(Circuit(len(bits), gates), states)
+    assert "".join(str(b) for b in states[0]) == expected
 
 
 def test_apply_permutation_width_mismatch():
-    with pytest.raises(ValueError):
-        apply_permutation(Circuit(2, (cx(0, 1),)), "101")
+    with pytest.raises(ValueError, match=r"\(\*, 2\)"):
+        apply_permutation_batch(Circuit(2, (cx(0, 1),)),
+                                np.zeros((1, 3), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("circuit", [
@@ -286,13 +286,3 @@ def test_read_value_refuses_more_than_63_wires():
     assert read_value(range(MAX_READ_WIRES), state)[0] == 2**MAX_READ_WIRES - 1
     with pytest.raises(ValueError, match="63"):
         read_value(range(MAX_READ_WIRES + 1), state)
-
-
-def test_exhaustive_permutation_matrix_matches_scalar():
-    circuit = build_mod_pow2(2)
-    for bits in itertools.product("01", repeat=circuit.width):
-        text = "".join(bits)
-        states = np.array([[int(b) for b in text]], dtype=np.uint8)
-        apply_permutation_batch(circuit, states)
-        assert apply_permutation(circuit, text) == "".join(
-            str(int(v)) for v in states[0])

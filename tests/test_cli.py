@@ -66,6 +66,28 @@ def test_select_json(capsys):
     assert any("rejected" in e for e in payload["trace"])
 
 
+@pytest.mark.parametrize("argv,moduli", [
+    (("--k", "4096"), "(15, 16, 17)"),
+    (("--k", "262144", "--max-n", "2"), "(63, 64, 65)"),
+])
+def test_select_exact_power_shortcut_ignores_the_pool(capsys, argv, moduli):
+    # K = 2^(3h) takes (2^h-1, 2^h, 2^h+1) even when max_n leaves those
+    # moduli out of the pool; the benchmark's dqc-stream relies on it.
+    code, stdout, _ = run_cli(capsys, "select", *argv, "--trace")
+    assert code == 0
+    assert stdout.startswith(f"selected {moduli}")
+    assert "shortcut accepted" in stdout
+
+
+@pytest.mark.parametrize("a,b", [("8", "0"), ("0", "-1")])
+def test_run_operand_outside_range_is_usage_error(capsys, a, b):
+    code, stdout, stderr = run_cli(capsys, "run", "--circuit", "full:3",
+                                   "--a", a, "--b", b)
+    assert code == 1
+    assert stdout == ""
+    assert "operands must lie in [0, 8)" in stderr
+
+
 def test_select_infeasible_exit_code(capsys):
     code, _, stderr = run_cli(capsys, "select", "--k", "1000000000")
     assert code == 2

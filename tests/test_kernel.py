@@ -98,7 +98,7 @@ def test_single_shot_reads_zero_or_one_per_pair():
 def test_run_shots_over_a_chunk_boundary_totals_the_shots():
     instance = make_adder(AdderFamily.MOD_POW2, 3)
     shots = CHUNK_ROWS + 7
-    inputs = instance.operand_inputs(5, 6)
+    inputs = instance.input_states([(5, 6)])
     histogram = run_shots(instance.circuit, inputs, shots, DEFAULT_NOISE, 4,
                           instance.output_wires)
     assert sum(histogram.values()) == shots

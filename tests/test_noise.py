@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from qrns.adders import AdderFamily, dim1_encode, make_adder
-from qrns.circuit import GateKind
+from qrns.circuit import GateKind, apply_permutation_batch, read_value
 from qrns.noise import (
     DEFAULT_NOISE,
     NoiseModel,
     calibrate_noise,
     derive_seed,
     output_probability,
-    run_exact,
     run_shots,
 )
 
@@ -44,31 +43,19 @@ def test_derive_seed_is_stable_and_distinct():
 
 def test_run_exact_qdma_example():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
-    a, b = dim1_encode(4, 3), dim1_encode(7, 3)
-    bits = run_exact(instance.circuit, {
-        "ALOW": a % 8, "AMSB": a >> 3, "B": b,
-    })
-    out = sum(int(bits[w]) << i for i, w in enumerate(instance.output_wires))
-    assert out == dim1_encode(2, 3)
+    state = apply_permutation_batch(instance.circuit, instance.input_states([(4, 7)]))
+    assert read_value(instance.output_wires, state)[0] == dim1_encode(2, 3)
 
 
 def test_run_exact_mod4_zero():
     instance = make_adder(AdderFamily.MOD_POW2, 2)
-    bits = run_exact(instance.circuit, {"A": 0, "B": 0})
-    assert set(bits) == {"0"}
-
-
-def test_run_exact_rejects_unknown_register():
-    instance = make_adder(AdderFamily.MOD_POW2, 2)
-    with pytest.raises(ValueError):
-        run_exact(instance.circuit, {"Q": 1})
-    with pytest.raises(ValueError):
-        run_exact(instance.circuit, {"A": 9, "B": 0})
+    state = apply_permutation_batch(instance.circuit, instance.input_states([(0, 0)]))
+    assert not state.any()
 
 
 def test_zero_noise_concentrates_on_exact_output():
     instance = make_adder(AdderFamily.MOD_POW2, 2)
-    histogram = run_shots(instance.circuit, {"A": 3, "B": 2}, shots=50,
+    histogram = run_shots(instance.circuit, instance.input_states([(3, 2)]), shots=50,
                           noise=NoiseModel.zero(), seed=1,
                           measure=instance.output_wires)
     assert histogram == {1: 50}
@@ -76,7 +63,7 @@ def test_zero_noise_concentrates_on_exact_output():
 
 def test_run_shots_deterministic_for_seed():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 2)
-    kwargs = dict(inputs={"ALOW": 1, "AMSB": 0, "B": 2}, shots=300,
+    kwargs = dict(inputs=instance.input_states([(2, 3)]), shots=300,
                   noise=DEFAULT_NOISE, measure=instance.output_wires)
     first = run_shots(instance.circuit, seed=42, **kwargs)
     second = run_shots(instance.circuit, seed=42, **kwargs)
@@ -87,7 +74,7 @@ def test_run_shots_deterministic_for_seed():
 
 def test_histogram_totals_equal_shots():
     instance = make_adder(AdderFamily.MOD_POW2, 3)
-    histogram = run_shots(instance.circuit, {"A": 5, "B": 6}, shots=777,
+    histogram = run_shots(instance.circuit, instance.input_states([(5, 6)]), shots=777,
                           noise=DEFAULT_NOISE, seed=9,
                           measure=instance.output_wires)
     assert sum(histogram.values()) == 777
@@ -99,7 +86,7 @@ def test_saturated_cnot_noise_gives_half_on_measured_wire():
     # time (closed form, no simulation needed for the expectation).
     instance = make_adder(AdderFamily.MOD_POW2, 1)
     shots = 40_000
-    histogram = run_shots(instance.circuit, {"A": 1, "B": 0}, shots=shots,
+    histogram = run_shots(instance.circuit, instance.input_states([(1, 0)]), shots=shots,
                           noise=NoiseModel(p_cnot=1.0), seed=5,
                           measure=instance.output_wires)
     freq = histogram[1] / shots
@@ -201,7 +188,7 @@ def test_more_than_63_measured_wires_are_refused():
         output_probability(instance, NoiseModel.zero(), shots=1, seed=0,
                            sampling=1)
     with pytest.raises(ValueError, match="63"):
-        run_shots(instance.circuit, instance.operand_inputs(1, 2), shots=1,
+        run_shots(instance.circuit, instance.input_states([(1, 2)]), shots=1,
                   noise=NoiseModel.zero(), seed=0, measure=instance.output_wires)
 
 
@@ -212,7 +199,18 @@ def test_more_than_63_measured_wires_are_refused():
 def test_operand_inputs_drive_run_shots_to_the_oracle(family, n):
     instance = make_adder(family, n)
     for a, b in instance.legal_pairs():
-        histogram = run_shots(instance.circuit, instance.operand_inputs(a, b),
+        histogram = run_shots(instance.circuit, instance.input_states([(a, b)]),
                               shots=1, noise=NoiseModel.zero(), seed=0,
                               measure=instance.output_wires)
         assert histogram == {instance.expected_output_bits(a, b): 1}
+
+
+def test_run_shots_takes_exactly_one_input_state():
+    instance = make_adder(AdderFamily.MOD_POW2, 2)
+    args = dict(shots=1, noise=NoiseModel.zero(), seed=0,
+                measure=instance.output_wires)
+    for inputs in ({"A": 1, "B": 2}, instance.input_states([(1, 2), (0, 3)]),
+                   instance.input_states([(1, 2)])[0],
+                   np.zeros((1, instance.circuit.width + 1), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="one \\(1, 4\\) state"):
+            run_shots(instance.circuit, inputs, **args)
