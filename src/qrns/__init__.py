@@ -39,6 +39,7 @@ from .distributed import (
     JobResult,
     RangeOverflowError,
     ResidueJob,
+    SimulationError,
     aggregate,
     distributed_add,
     execute_jobs,

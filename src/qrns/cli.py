@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible selection,
-3 simulation error.
+Exit codes: 0 success, 1 bad input, 2 infeasible selection,
+3 simulation error: a distributed addition ran but cannot yield a sum.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .adders import (
     make_adder,
 )
 from .circuit import check_readable, from_text, to_text
-from .distributed import MIN_SIZE, distributed_add
+from .distributed import MIN_SIZE, SimulationError, distributed_add
 from .noise import (
     DEFAULT_NOISE,
     NoiseModel,
@@ -35,6 +35,7 @@ from .select import (
     SelectionError,
     SelectorConfig,
     explain_selection,
+    select_rns,
 )
 
 EXIT_OK = 0
@@ -69,13 +70,6 @@ def _positive_int(text: str) -> int:
 
 def _sampling(text: str) -> int | str:
     return text if text in ("auto", "exhaustive") else _positive_int(text)
-
-
-def _selector_config(**fields) -> SelectorConfig:
-    try:
-        return SelectorConfig(**fields)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _noise_from_arg(spec: str) -> NoiseModel:
@@ -113,11 +107,7 @@ def _print_resource_report(circuit) -> None:
 
 
 def cmd_synth(args) -> int:
-    family = FAMILY_NAMES[args.family]
-    try:
-        circuit = build_adder(family, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    circuit = build_adder(FAMILY_NAMES[args.family], args.n)
     text = to_text(circuit)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -129,7 +119,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_select(args) -> int:
-    cfg = _selector_config(
+    cfg = SelectorConfig(
         k=args.k,
         count=args.count,
         efficiency=args.efficiency,
@@ -191,12 +181,9 @@ def cmd_run(args) -> int:
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
     if args.a is not None:
-        try:
-            inputs = instance.input_states([(args.a, args.b)])
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        histogram = run_shots(instance.circuit, inputs, args.shots, noise,
-                              args.seed, instance.output_wires)
+        histogram = run_shots(instance.circuit,
+                              instance.input_states([(args.a, args.b)]),
+                              args.shots, noise, args.seed, instance.output_wires)
         expected = instance.expected_output_bits(args.a, args.b)
         rows = [(f"{bits:0{len(instance.output_wires)}b}", count,
                  "expected" if bits == expected else "")
@@ -230,12 +217,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_dqc_add(args) -> int:
-    cfg = _selector_config(k=args.k, efficiency=args.efficiency)
-    trace = explain_selection(cfg)
-    rns = RnsSet.from_moduli(trace.final_moduli)
-    total_range = rns_range(rns)
-    if not (0 <= args.a < total_range and 0 <= args.b < total_range):
-        raise UsageError(f"operands must lie in [0, {total_range})")
+    rns = select_rns(SelectorConfig(k=args.k, efficiency=args.efficiency))
     noise = _noise_from_arg(args.noise)
     result = distributed_add(args.a, args.b, rns, noise, shots=args.shots,
                              base_seed=args.seed, workers=args.workers)
@@ -290,9 +272,6 @@ def _sizes(text: str) -> list[int]:
 
 
 def cmd_compare(args) -> int:
-    # The smallest size stands for all: only K differs between sizes.
-    _selector_config(k=2**min(args.sizes), efficiency=args.efficiency,
-                     depth_source=DepthSource(args.depth_source))
     noise = _noise_from_arg(args.noise)
     document = build_table2(
         sizes=args.sizes,
@@ -341,6 +320,8 @@ def cmd_calibrate(args) -> int:
     result = calibrate_noise(targets, shots=args.shots, seed=args.seed,
                              max_rounds=args.rounds)
     model = result.model
+    if args.out:  # before printing, so a bad path leaves stdout empty
+        model.to_file(args.out)
     print(f"p_not     {model.p_not:.6f}")
     print(f"p_cnot    {model.p_cnot:.6f}")
     print(f"p_toffoli {model.p_toffoli:.6f}")
@@ -348,7 +329,6 @@ def cmd_calibrate(args) -> int:
           f"({result.evaluations} evaluations, "
           f"{'converged' if result.converged else 'iteration cap reached'})")
     if args.out:
-        model.to_file(args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -402,7 +382,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="monolithic vs distributed comparison")
     p.add_argument("--sizes", type=_sizes, default="6..11", help="e.g. 6..11 or 6,8,10")
     p.add_argument("--efficiency", type=float, default=0.9)
-    p.add_argument("--budget", type=int, default=20)
+    p.add_argument("--budget", type=_positive_int, default=20)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth-source", choices=["built", "paper"], default="paper")
@@ -437,15 +417,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"qrns: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SelectionError as exc:
         print(f"qrns: infeasible selection: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OverflowError, KeyError) as exc:
+    except (SimulationError, OverflowError) as exc:
         print(f"qrns: simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except (UsageError, ValueError, KeyError, OSError) as exc:
+        print(f"qrns: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

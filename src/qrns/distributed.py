@@ -26,7 +26,11 @@ from .rns import (
 from .select import DepthSource, SelectorConfig, select_rns
 
 
-class RangeOverflowError(ValueError):
+class SimulationError(ValueError):
+    """A distributed addition ran but cannot yield a sum."""
+
+
+class RangeOverflowError(SimulationError):
     """The requested sum does not fit the residue system's range."""
 
 
@@ -78,8 +82,8 @@ class DistributedSum:
     any_tie: bool
 
 
-def plan_jobs(a: int, b: int, rns: RnsSet, shots: int, base_seed: int,
-              instances: dict[int, AdderInstance] | None = None) -> list[ResidueJob]:
+def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
+              base_seed: int) -> list[ResidueJob]:
     """One job per modulus; residues of a and b, per-job derived seeds."""
     total_range = rns_range(rns)
     if not (0 <= a < total_range and 0 <= b < total_range):
@@ -91,14 +95,10 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int, base_seed: int,
         )
     jobs = []
     for index, (modulus, (family, n)) in enumerate(zip(rns.moduli, rns.families)):
-        if instances and modulus in instances:
-            instance = instances[modulus]
-        else:
-            instance = make_adder(family, n)
         jobs.append(ResidueJob(
             job_id=index,
             modulus=modulus,
-            instance=instance,
+            instance=make_adder(family, n),
             a_residue=a % modulus,
             b_residue=b % modulus,
             shots=shots,
@@ -169,13 +169,13 @@ def aggregate(results: list[JobResult], rns: RnsSet) -> DistributedSum:
     missing = [m for m in rns.moduli if m not in by_modulus]
     if missing:
         failed = {r.modulus: r.error for r in results if r.failed}
-        raise ValueError(f"missing results for moduli {missing}"
-                         + (f" (failed: {failed})" if failed else ""))
+        raise SimulationError(f"missing results for moduli {missing}"
+                              + (f" (failed: {failed})" if failed else ""))
     residues = []
     for modulus in rns.moduli:
         result = by_modulus[modulus]
         if result.top_value is None:
-            raise ValueError(
+            raise SimulationError(
                 f"modulus {modulus}: modal outcome {result.top_bits:#x} is "
                 "not a decodable codeword"
             )
@@ -231,8 +231,8 @@ class ComparisonRow:
 def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
                 seed: int = 0, shots_mod: int = MOD_SHOTS,
                 shots_full: int = FULL_SHOTS, budget: int = DEVICE_BUDGET,
-                depth_source: DepthSource = DepthSource.PAPER_TABLE,
-                sampling: int | str = "auto") -> list[ComparisonRow]:
+                depth_source: DepthSource = DepthSource.PAPER_TABLE
+                ) -> list[ComparisonRow]:
     """Compare monolithic addition to the selected residue sets per size.
 
     A size-s adder produces an s-bit sum from (s-1)-bit operands; its
@@ -256,16 +256,14 @@ def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
             if modulus not in mod_probs:
                 mod_probs[modulus] = output_probability(
                     instance, noise, shots=shots_mod,
-                    seed=derive_seed(seed, "mod", modulus), sampling=sampling,
-                ).mean
+                    seed=derive_seed(seed, "mod", modulus)).mean
             set_prob = min(set_prob, mod_probs[modulus])
         mono = make_adder(AdderFamily.FULL, size - 1)
         mono_report = resource_report(mono.circuit)
         if mono_report.qubit_count <= budget:
             mono_prob = output_probability(
                 mono, noise, shots=shots_full,
-                seed=derive_seed(seed, "full", size), sampling=sampling,
-            ).mean
+                seed=derive_seed(seed, "full", size)).mean
             gain = 100.0 * (set_prob / mono_prob - 1.0)
         else:
             mono_prob = None

@@ -70,14 +70,21 @@ class NoiseModel:
 
     @classmethod
     def from_file(cls, path: str) -> "NoiseModel":
+        """Read ``name = value`` lines; a malformed one raises ValueError("line N: ...")."""
         values: dict[str, float] = {}
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, _, value = line.partition("=")
-                values[key.strip()] = float(value.strip())
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"line {lineno}: expected 'name = value', "
+                                     f"got {line!r}")
+                try:
+                    values[key.strip()] = float(value)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
         missing = {"p_not", "p_cnot", "p_toffoli"} - values.keys()
         if missing:
             raise ValueError(f"noise file missing fields: {sorted(missing)}")

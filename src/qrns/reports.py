@@ -5,7 +5,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from typing import Any
 
@@ -77,7 +76,6 @@ def base_metadata(seed: int, noise: NoiseModel, **extra: Any) -> dict[str, Any]:
         "noise": {"p_not": noise.p_not, "p_cnot": noise.p_cnot,
                   "p_toffoli": noise.p_toffoli},
         "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     meta.update(extra)
     return meta

@@ -128,7 +128,7 @@ def test_criterion_05_qubit_counts():
         widths = [build_adder(fam, n).width for fam, n in rns.families]
         assert max(widths) <= 14, f"size {size}"
     rows = gain_report([11], efficiency=0.9, noise=DEFAULT_NOISE, seed=SEED,
-                       shots_mod=1, shots_full=1, budget=20, sampling=4)
+                       shots_mod=1, shots_full=1, budget=20)
     assert rows[0].mono_probability is None
     assert rows[0].gain_percent is None
     _report("5", "monolithic 11..21 qubits, residue sets <= 14, size 11 "

@@ -337,3 +337,72 @@ def test_calibrate_trivial_targets(capsys, tmp_path):
     assert code == 0
     assert "p_cnot" in stdout
     assert out.exists()
+
+
+def _write_noise_files(tmp_path):
+    (tmp_path / "p_not_2.txt").write_text("p_not = 2\np_cnot = 0\np_toffoli = 0\n")
+    (tmp_path / "no_equals.txt").write_text("p_not 0.1\np_cnot = 0\np_toffoli = 0\n")
+    (tmp_path / "not_utf8.txt").write_bytes(b"p_not = \xff\xfe\n")
+    (tmp_path / "all_ones.txt").write_text("p_not = 1\np_cnot = 1\np_toffoli = 1\n")
+    (tmp_path / "a_directory").mkdir()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("run", "--circuit", "full:7", "--sample", "exhaustive"),
+     "16384 input pairs exceed the exhaustive cap"),
+    (("run", "--circuit", "mod:5", "--noise", "{tmp}/p_not_2.txt"),
+     "p_not must be in [0, 1], got 2"),
+    (("run", "--circuit", "mod:5", "--noise", "{tmp}/no_equals.txt"),
+     "line 1: expected 'name = value'"),
+    (("run", "--circuit", "mod:5", "--noise", "{tmp}/not_utf8.txt"),
+     "can't decode byte 0xff"),
+    (("run", "--circuit", "mod:5", "--noise", "{tmp}/a_directory"), "Is a directory"),
+    (("run", "--circuit", "{tmp}/a_directory"), "Is a directory"),
+    (("run", "--circuit", "x" * 5000), "File name too long"),
+    (("synth", "qdma", "2", "--out", "{tmp}/missing/x.txt"),
+     "No such file or directory"),
+    (("table1", "--shots", "1", "--csv", "{tmp}/missing/x.csv"),
+     "No such file or directory"),
+    (("calibrate", "--rows", "2,4,8", "--shots", "5", "--rounds", "1",
+      "--out", "{tmp}/missing/m.txt"), "No such file or directory"),
+], ids=["exhaustive-over-cap", "noise-rate-above-1", "noise-line-without-equals",
+        "noise-not-utf8", "noise-directory", "circuit-directory",
+        "circuit-name-too-long", "synth-out-unwritable", "table1-csv-unwritable",
+        "calibrate-out-unwritable"])
+def test_bad_input_anywhere_exits_1_without_traceback(capsys, tmp_path, argv, message):
+    _write_noise_files(tmp_path)
+    code, stdout, stderr = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 1
+    assert stdout == ""
+    assert "Traceback" not in stderr
+    assert stderr.startswith("qrns: error: ")
+    assert message in stderr
+
+
+def test_dqc_add_undecodable_modal_outcome_is_simulation_error(capsys, tmp_path):
+    _write_noise_files(tmp_path)
+    code, stdout, stderr = run_cli(capsys, "dqc-add", "--a", "3", "--b", "4",
+                                   "--k", "64", "--noise", str(tmp_path / "all_ones.txt"),
+                                   "--seed", "0", "--shots", "20")
+    assert code == 3
+    assert stdout == ""
+    assert "qrns: simulation error: modulus 5: modal outcome 0x7 is not a " \
+           "decodable codeword" in stderr
+
+
+def test_compare_budget_below_one_is_usage_error(capsys):
+    code, stdout, stderr = run_cli(capsys, "compare", "--sizes", "6", "--budget", "-1")
+    assert code == 1
+    assert stdout == ""
+    assert "--budget: must be >= 1" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--shots", "5", "--json"),
+    ("compare", "--sizes", "6", "--json"),
+])
+def test_report_json_is_byte_reproducible(capsys, argv):
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first[1] == second[1]

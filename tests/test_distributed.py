@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from qrns.adders import AdderFamily, make_adder
 from qrns.circuit import Circuit, cx
 from qrns.distributed import (
     RangeOverflowError,
+    SimulationError,
     aggregate,
     distributed_add,
     execute_jobs,
@@ -87,6 +90,18 @@ def test_failed_job_is_isolated():
     assert "missing results" in str(excinfo.value)
 
 
+def test_aggregate_failures_are_simulation_errors():
+    assert issubclass(SimulationError, ValueError)
+    assert issubclass(RangeOverflowError, SimulationError)
+    results = execute_jobs(plan_jobs(17, 25, RNS345, shots=10, base_seed=1),
+                           workers=1, noise=NoiseModel.zero())
+    with pytest.raises(SimulationError, match="missing results for moduli"):
+        aggregate(results[:2], RNS345)
+    results[2] = dataclasses.replace(results[2], top_bits=0x7, top_value=None)
+    with pytest.raises(SimulationError, match="0x7 is not a decodable codeword"):
+        aggregate(results, RNS345)
+
+
 def test_aggregate_min_and_product_rules():
     jobs = plan_jobs(5, 6, RNS345, shots=400, base_seed=5)
     results = execute_jobs(jobs, workers=1, noise=DEFAULT_NOISE)
@@ -140,7 +155,6 @@ def test_selector_sets_end_to_end_zero_noise():
     # Every selected set for sizes 6..11, 200 random in-range pairs each.
     import random
 
-    from qrns.adders import adder_instance, build_adder
     from qrns.noise import NoiseModel
     from qrns.rns import rns_range
     from qrns.select import SelectorConfig, select_rns
@@ -149,21 +163,18 @@ def test_selector_sets_end_to_end_zero_noise():
     zero = NoiseModel.zero()
     for size in range(6, 12):
         rns = select_rns(SelectorConfig(k=2**size))
-        instances = {m: adder_instance(build_adder(fam, n))
-                     for m, (fam, n) in zip(rns.moduli, rns.families)}
         total = rns_range(rns)
         for _ in range(200):
             a = rng.randrange(total)
             b = rng.randrange(total - a)
-            jobs = plan_jobs(a, b, rns, shots=2, base_seed=rng.randrange(2**32),
-                             instances=instances)
+            jobs = plan_jobs(a, b, rns, shots=2, base_seed=rng.randrange(2**32))
             outcome = aggregate(execute_jobs(jobs, workers=1, noise=zero), rns)
             assert outcome.reconstructed == a + b, (size, a, b)
 
 
 def test_gain_report_zero_noise_gains_are_zero():
     rows = gain_report([6, 7], efficiency=0.9, noise=NoiseModel.zero(),
-                       seed=1, shots_mod=5, shots_full=5, sampling=16)
+                       seed=1, shots_mod=5, shots_full=5)
     for row in rows:
         assert row.mono_probability == 1.0
         assert row.set_probability == 1.0
@@ -172,7 +183,7 @@ def test_gain_report_zero_noise_gains_are_zero():
 
 def test_gain_report_reference_shapes():
     rows = gain_report([6, 11], efficiency=0.9, noise=NoiseModel.zero(),
-                       seed=1, shots_mod=5, shots_full=5, sampling=8)
+                       seed=1, shots_mod=5, shots_full=5)
     first, last = rows
     assert first.rns.moduli == (3, 4, 5)
     assert first.max_qubits == 11
@@ -190,6 +201,6 @@ def test_gain_report_rejects_small_sizes():
 
 def test_gain_report_built_depth_source():
     rows = gain_report([8], efficiency=0.9, noise=NoiseModel.zero(), seed=1,
-                       shots_mod=5, shots_full=5, sampling=8,
+                       shots_mod=5, shots_full=5,
                        depth_source=DepthSource.BUILT)
     assert rows[0].rns.moduli == (5, 8, 9)

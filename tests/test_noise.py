@@ -35,6 +35,21 @@ def test_noise_model_file_missing_field(tmp_path):
         NoiseModel.from_file(str(path))
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p_not = 0.1\n# comment\n\np_cnot 0.1\np_toffoli = 0.1\n",
+     "line 4: expected 'name = value'"),
+    ("p_not = 0.1\np_cnot = lots\np_toffoli = 0.1\n",
+     "line 2: could not convert string to float"),
+    ("p_not = 0.1\np_cnot =\np_toffoli = 0.1\n",
+     "line 2: could not convert string to float"),
+], ids=["no-equals", "not-a-float", "empty-value"])
+def test_noise_model_file_malformed_line_names_its_number(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        NoiseModel.from_file(str(path))
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(1, "a") == derive_seed(1, "a")
     assert derive_seed(1, "a") != derive_seed(1, "b")
