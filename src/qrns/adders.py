@@ -328,7 +328,15 @@ _BUILDERS = {
 }
 
 
+# The largest n any builder accepts.  The paper's adders have n <= 10 and a
+# simulation reads at most 63 wires, so a larger n is a typo; unchecked,
+# `synth full 100000000` still ran after 20 s (`synth full 4096` takes 0.6 s).
+MAX_ADDER_N = 1024
+
+
 def build_adder(family: AdderFamily, n: int) -> Circuit:
+    if n > MAX_ADDER_N:
+        raise ValueError(f"n must be <= {MAX_ADDER_N} (the builder size limit), got {n}")
     return _BUILDERS[family](n)
 
 

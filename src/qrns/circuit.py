@@ -183,6 +183,10 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
     number of them, on that many distinct rows, each with a uniform flip
     pattern.  That is the same joint distribution as one Bernoulli draw
     per row, at a cost that scales with the events instead of the rows.
+
+    A noisy call needs column-major (F-contiguous) ``states``: each qubit
+    is then one contiguous column, and a gate's flips go into the flat
+    column buffer through one index per (event, qubit).
     """
     if states.ndim != 2 or states.shape[1] != circuit.width:
         raise ValueError(f"states must be (*, {circuit.width})")
@@ -190,6 +194,12 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
         error_rates = itertools.repeat(0.0)
     elif len(error_rates) != len(circuit.gates) or rng is None:
         raise ValueError("error_rates needs one rate per gate and an rng")
+    elif not states.flags.f_contiguous:
+        # The flat view below would be a copy of a row-major array, and
+        # the flips would land in the copy.
+        raise ValueError("noisy states must be column-major (F-contiguous)")
+    else:
+        columns = states.T.reshape(-1)  # a view: qubit q is [q * rows, (q + 1) * rows)
     rows = states.shape[0]
     for gate, p in zip(circuit.gates, error_rates):
         q = gate.qubits
@@ -203,7 +213,9 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
             events = rng.binomial(rows, p)
             if events:
                 hit = rng.choice(rows, events, replace=False, shuffle=False)
-                states[hit[:, np.newaxis], q] ^= rng.integers(
+                # Rows are distinct and so are a gate's qubits, so no index
+                # repeats and the buffered ^= loses no flip.
+                columns[hit[:, np.newaxis] + rows * np.array(q)] ^= rng.integers(
                     0, 2, size=(events, len(q)), dtype=np.uint8)
     return states
 

@@ -150,12 +150,19 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
+# Error messages echo at most this many characters of a --circuit spec.
+_SPEC_ECHO = 60
+
+
 def _resolve_run_target(spec: str):
+    shown = spec if len(spec) <= _SPEC_ECHO else spec[:_SPEC_ECHO - 1] + "…"
     try:
         instance = _build_run_target(spec)
         check_readable(instance.output_wires)
-    except ValueError as exc:
-        raise UsageError(f"--circuit {spec}: {exc}") from exc
+    except (UsageError, ValueError) as exc:
+        raise UsageError(f"--circuit {shown}: {exc}") from exc
+    except OSError as exc:  # its str() repeats the whole path
+        raise UsageError(f"--circuit {shown}: {exc.strerror}") from exc
     return instance
 
 
@@ -170,7 +177,7 @@ def _build_run_target(spec: str):
         if name in FAMILY_NAMES:
             return make_adder(FAMILY_NAMES[name], int(n_text))
     raise UsageError(
-        f"{spec!r} is neither a circuit file, 'mod:<modulus>', nor "
+        "neither a circuit file, 'mod:<modulus>', nor "
         f"'<family>:<n>' with family in {sorted(set(FAMILY_NAMES))}"
     )
 

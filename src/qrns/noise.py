@@ -123,10 +123,12 @@ def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
         first, last = start // shots, (stop - 1) // shots
         counts = np.diff(np.clip(np.arange(first, last + 2) * shots, start, stop))
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, chunk)))
-        # No name holds the states, so they are freed before the caller
-        # runs: the chunk's memory peak stays inside read_value.
+        # Repeating the transposed inputs gives the column-major chunk the
+        # noisy kernel needs in one allocation.  No name holds the states,
+        # so they are freed before the caller runs: the chunk's memory peak
+        # stays inside read_value.
         yield first, counts, read_value(measure, apply_permutation_batch(
-            circuit, np.repeat(inputs[first:last + 1], counts, axis=0), rates, rng))
+            circuit, np.repeat(inputs[first:last + 1].T, counts, axis=1).T, rates, rng))
 
 
 def run_shots(circuit: Circuit, inputs: np.ndarray, shots: int,

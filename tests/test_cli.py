@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qrns.adders import MAX_ADDER_N
 from qrns.cli import main
 
 
@@ -406,3 +407,26 @@ def test_report_json_is_byte_reproducible(capsys, argv):
     second = run_cli(capsys, *argv)
     assert first[0] == 0
     assert first[1] == second[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "full", str(MAX_ADDER_N + 1)),
+    ("run", "--circuit", f"full:{MAX_ADDER_N + 1}"),
+], ids=["synth", "run"])
+def test_adder_above_the_size_limit_exits_1_naming_it(capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 1
+    assert stdout == ""
+    assert f"n must be <= {MAX_ADDER_N} (the builder size limit)" in stderr
+
+
+def test_circuit_spec_errors_name_a_short_spec(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code, _, stderr = run_cli(capsys, "run", "--circuit", "d")
+    assert code == 1
+    assert stderr == "qrns: error: --circuit d: Is a directory\n"
+    code, _, stderr = run_cli(capsys, "run", "--circuit", "x" * 5000)
+    assert code == 1
+    assert len(stderr) < 300
+    assert f"--circuit {'x' * 59}…: " in stderr
