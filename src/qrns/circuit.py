@@ -7,7 +7,6 @@ bit of the value it carries.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -179,29 +178,30 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
     With ``error_rates`` (one probability per gate) and ``rng``, an error
     event follows gate g on each row independently with probability
     ``error_rates[g]`` and flips each qubit the gate touches with
-    probability 1/2.  Only the events are drawn: a Binomial(count, p)
-    number of them, on that many distinct rows, each with a uniform flip
-    pattern.  That is the same joint distribution as one Bernoulli draw
-    per row, at a cost that scales with the events instead of the rows.
+    probability 1/2.  Only the rows that an event hits are drawn, for
+    every gate at once, before the gate loop (see ``_draw_errors``).
 
     A noisy call needs column-major (F-contiguous) ``states``: each qubit
     is then one contiguous column, and a gate's flips go into the flat
-    column buffer through one index per (event, qubit).
+    column buffer through one index per (hit row, qubit).
     """
     if states.ndim != 2 or states.shape[1] != circuit.width:
         raise ValueError(f"states must be (*, {circuit.width})")
-    if error_rates is None:
-        error_rates = itertools.repeat(0.0)
-    elif len(error_rates) != len(circuit.gates) or rng is None:
-        raise ValueError("error_rates needs one rate per gate and an rng")
-    elif not states.flags.f_contiguous:
-        # The flat view below would be a copy of a row-major array, and
-        # the flips would land in the copy.
-        raise ValueError("noisy states must be column-major (F-contiguous)")
-    else:
-        columns = states.T.reshape(-1)  # a view: qubit q is [q * rows, (q + 1) * rows)
     rows = states.shape[0]
-    for gate, p in zip(circuit.gates, error_rates):
+    bounds = [0] * (len(circuit.gates) + 1)  # noiseless: no gate has error cells
+    if error_rates is not None:
+        if len(error_rates) != len(circuit.gates) or rng is None:
+            raise ValueError("error_rates needs one rate per gate and an rng")
+        rates = np.asarray(error_rates, dtype=float)
+        if not np.all((rates >= 0.0) & (rates <= 1.0)):
+            raise ValueError("error rates must lie in [0, 1]")
+        if not states.flags.f_contiguous:
+            # The flat view below would be a copy of a row-major array, and
+            # the flips would land in the copy.
+            raise ValueError("noisy states must be column-major (F-contiguous)")
+        columns = states.T.reshape(-1)  # a view: qubit q is [q * rows, (q + 1) * rows)
+        cells, flips, bounds = _draw_errors(rates, rows, rng)
+    for g, gate in enumerate(circuit.gates):
         q = gate.qubits
         if gate.kind is GateKind.NOT:
             states[:, q[0]] ^= 1
@@ -209,15 +209,47 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
             states[:, q[1]] ^= states[:, q[0]]
         else:
             states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
-        if p > 0.0:
-            events = rng.binomial(rows, p)
-            if events:
-                hit = rng.choice(rows, events, replace=False, shuffle=False)
-                # Rows are distinct and so are a gate's qubits, so no index
-                # repeats and the buffered ^= loses no flip.
-                columns[hit[:, np.newaxis] + rows * np.array(q)] ^= rng.integers(
-                    0, 2, size=(events, len(q)), dtype=np.uint8)
+        lo, hi = bounds[g], bounds[g + 1]
+        if lo < hi:
+            # Cell g * rows + r is row r, which qubit q holds at q * rows + r.
+            # Cells are distinct and so are a gate's qubits, so no index
+            # repeats and the buffered ^= loses no flip.
+            columns[cells[lo:hi, np.newaxis] + rows * (np.array(q) - g)] ^= \
+                flips[lo:hi, :len(q)]
     return states
+
+
+def _draw_errors(rates: np.ndarray, rows: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Draw one chunk's error events for all its gates in three calls.
+
+    Returns the hit cells, each a flat index g * rows + r for row r after
+    gate g, sorted and distinct; a (cells, 3) array of uniform 0/1 flips,
+    of which gate g uses its first arity columns; and the gate bounds:
+    gate g's cells are [bounds[g], bounds[g + 1]).
+
+    Gate g puts Poisson(rows * lam) hits on uniform rows, with
+    lam = -log(1 - p).  Each row then gets an independent Poisson(lam)
+    number of hits and so at least one with probability 1 - e^-lam = p,
+    independently across rows and gates.  A row hit m times would get the
+    XOR of m uniform flip patterns, which is uniform again, so one pattern
+    per distinct cell is the same distribution.  A rate-one gate has an
+    infinite lam and takes every row instead.
+    """
+    gates = rates.size
+    full = rates == 1.0
+    counts = rng.poisson(rows * -np.log1p(-np.where(full, 0.0, rates)))
+    cells = rng.integers(0, rows, size=int(counts.sum()))
+    cells += np.repeat(np.arange(gates) * rows, counts)
+    if full.any():
+        every_row = np.flatnonzero(full)[:, np.newaxis] * rows + np.arange(rows)
+        cells = np.concatenate([cells, every_row.ravel()])
+    cells.sort()
+    cells = cells[np.diff(cells, prepend=-1) != 0]  # first of each run of equal cells
+    raw = rng.bit_generator.random_raw(-(-3 * cells.size // 64))
+    flips = np.unpackbits(raw.view(np.uint8))[:3 * cells.size].reshape(-1, 3)
+    bounds = np.searchsorted(cells, np.arange(gates + 1) * rows).tolist()
+    return cells, flips, bounds
 
 
 def pack_value(values: np.ndarray, wires: Sequence[int], state: np.ndarray) -> None:

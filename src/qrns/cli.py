@@ -8,7 +8,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from .adders import (
     AdderFamily,
@@ -72,16 +74,31 @@ def _sampling(text: str) -> int | str:
     return text if text in ("auto", "exhaustive") else _positive_int(text)
 
 
+# Error messages echo at most this many characters of a spec.
+_SPEC_ECHO = 60
+
+
+@contextmanager
+def _spec_errors(option: str, spec: str) -> Iterator[None]:
+    """Turn a bad ``spec`` of ``option`` into a UsageError naming both."""
+    shown = spec if len(spec) <= _SPEC_ECHO else spec[:_SPEC_ECHO - 1] + "…"
+    try:
+        yield
+    except (UsageError, ValueError) as exc:
+        raise UsageError(f"{option} {shown}: {exc}") from exc
+    except OSError as exc:  # its str() repeats the whole path
+        raise UsageError(f"{option} {shown}: {exc.strerror}") from exc
+
+
 def _noise_from_arg(spec: str) -> NoiseModel:
     if spec == "default":
         return DEFAULT_NOISE
     if spec == "zero":
         return NoiseModel.zero()
-    path = Path(spec)
-    if not path.exists():
-        raise UsageError(f"noise spec {spec!r} is neither default, zero, "
-                         "nor an existing file")
-    return NoiseModel.from_file(str(path))
+    with _spec_errors("--noise", spec):
+        if not Path(spec).exists():
+            raise UsageError("neither default, zero, nor an existing file")
+        return NoiseModel.from_file(spec)
 
 
 # (label, ResourceReport field, reference ModuliRow field or None)
@@ -150,19 +167,10 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-# Error messages echo at most this many characters of a --circuit spec.
-_SPEC_ECHO = 60
-
-
 def _resolve_run_target(spec: str):
-    shown = spec if len(spec) <= _SPEC_ECHO else spec[:_SPEC_ECHO - 1] + "…"
-    try:
+    with _spec_errors("--circuit", spec):
         instance = _build_run_target(spec)
         check_readable(instance.output_wires)
-    except (UsageError, ValueError) as exc:
-        raise UsageError(f"--circuit {shown}: {exc}") from exc
-    except OSError as exc:  # its str() repeats the whole path
-        raise UsageError(f"--circuit {shown}: {exc.strerror}") from exc
     return instance
 
 

@@ -116,7 +116,7 @@ def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
     Yields, per chunk, the index of its first input, how many of its rows
     each of its inputs has, and the measured value of every row.
     """
-    rates = [noise.for_kind(gate.kind) for gate in circuit.gates]
+    rates = np.array([noise.for_kind(gate.kind) for gate in circuit.gates])
     total = inputs.shape[0] * shots
     for chunk, start in enumerate(range(0, total, CHUNK_ROWS)):
         stop = min(start + CHUNK_ROWS, total)

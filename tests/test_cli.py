@@ -150,6 +150,14 @@ def test_dqc_add_byte_identical_across_workers(capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_dqc_add_json_byte_identical_across_workers_and_repeats(capsys):
+    argv = ("dqc-add", "--a", "300", "--b", "500", "--k", "1024", "--json")
+    outputs = [run_cli(capsys, *argv, "--workers", workers)
+               for workers in ("1", "2", "4", "2")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--circuit", "mod:5", "--shots", "0"),
     ("run", "--circuit", "mod:5", "--sample", "0"),
@@ -387,7 +395,7 @@ def test_dqc_add_undecodable_modal_outcome_is_simulation_error(capsys, tmp_path)
                                    "--seed", "0", "--shots", "20")
     assert code == 3
     assert stdout == ""
-    assert "qrns: simulation error: modulus 5: modal outcome 0x7 is not a " \
+    assert "qrns: simulation error: modulus 5: modal outcome 0x5 is not a " \
            "decodable codeword" in stderr
 
 
@@ -430,3 +438,20 @@ def test_circuit_spec_errors_name_a_short_spec(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert len(stderr) < 300
     assert f"--circuit {'x' * 59}…: " in stderr
+
+
+@pytest.mark.parametrize("spec,start", [
+    ("d", "qrns: error: --noise d: Is a directory\n"),
+    ("x" * 5000, f"qrns: error: --noise {'x' * 59}…: "),
+    ("bad.txt", "qrns: error: --noise bad.txt: line 2: could not convert "
+                "string to float: ' abc'\n"),
+], ids=["directory", "name-too-long", "malformed-file"])
+def test_noise_spec_errors_name_a_short_spec(capsys, tmp_path, monkeypatch, spec, start):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "bad.txt").write_text("p_not = 0.1\np_cnot = abc\np_toffoli = 0\n")
+    code, stdout, stderr = run_cli(capsys, "run", "--circuit", "mod:5", "--noise", spec)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(start)
+    assert len(stderr) < 300

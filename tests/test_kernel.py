@@ -72,6 +72,24 @@ def test_estimate_matches_exact_value(family, n):
     assert abs(estimate.mean - exact) <= 4 * math.sqrt(0.25 / (pairs * shots))
 
 
+@pytest.mark.parametrize("noise", [
+    NoiseModel(p_not=0.6, p_cnot=0.75, p_toffoli=0.9),
+    NoiseModel(p_not=0.3, p_cnot=1.0, p_toffoli=0.05),
+], ids=["dense", "rate-one-cnot"])
+@pytest.mark.parametrize("family,n", [
+    (AdderFamily.MOD_POW2, 2), (AdderFamily.MOD_POW2_PLUS1, 1), (AdderFamily.FULL, 2),
+])
+def test_estimate_matches_exact_value_under_heavy_noise(family, n, noise):
+    # Rates above 1/2 make most rows hit more than once; a rate of one on
+    # some gates, beside rates below one on others, takes every row there.
+    instance = make_adder(family, n)
+    shots = 4000
+    estimate = output_probability(instance, noise, shots=shots, seed=6)
+    exact = exact_output_probability(instance, noise)
+    pairs = len(estimate.per_pair)
+    assert abs(estimate.mean - exact) <= 4 * math.sqrt(0.25 / (pairs * shots))
+
+
 def test_every_row_fires_at_rate_one():
     instance = make_adder(AdderFamily.FULL, 2)
     noise = NoiseModel(1.0, 1.0, 1.0)
@@ -93,6 +111,20 @@ def test_single_shot_reads_zero_or_one_per_pair():
     assert len(estimate.per_pair) == 16
     assert {p for _, _, p in estimate.per_pair} <= {0.0, 1.0}
     assert estimate == output_probability(instance, DEFAULT_NOISE, shots=1, seed=3)
+
+
+def test_noisy_call_without_events_only_applies_the_gates():
+    instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
+    rates = [0.0] * len(instance.circuit.gates)
+    rows = instance.input_states(list(instance.legal_pairs()))
+    columns = np.asfortranarray(rows)
+    apply_permutation_batch(instance.circuit, rows)
+    apply_permutation_batch(instance.circuit, columns, rates, np.random.default_rng(0))
+    assert np.array_equal(rows, columns)
+    empty = np.zeros((0, instance.circuit.width), dtype=np.uint8)
+    apply_permutation_batch(instance.circuit, empty, [0.5] * len(rates),
+                            np.random.default_rng(0))
+    assert empty.shape == (0, instance.circuit.width)
 
 
 def test_run_shots_over_a_chunk_boundary_totals_the_shots():
@@ -126,35 +158,43 @@ def test_error_rates_need_one_rate_per_gate_and_an_rng():
         apply_permutation_batch(circuit, states, [0.1, 0.1])
 
 
+@pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+def test_error_rates_outside_zero_to_one_are_refused(rate):
+    states = np.zeros((4, 2), dtype=np.uint8, order="F")
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        apply_permutation_batch(Circuit(2, (cx(0, 1), x(0))), states, [0.1, rate],
+                                np.random.default_rng(0))
+
+
 # Golden values of the sampling kernel: any change to the draws, their
 # order or the way a chunk maps rows to flips moves them.
 GOLDEN_HISTOGRAM = {
-    0: 733, 1: 772, 2: 458, 3: 18776, 4: 292, 5: 207, 6: 40, 7: 1068, 8: 17, 9: 68,
-    10: 53, 11: 1296, 12: 44, 13: 62, 14: 6, 15: 112, 16: 14, 17: 55, 18: 39, 19: 1340,
-    20: 23, 21: 22, 22: 4, 23: 94, 24: 4, 25: 13, 26: 9, 27: 203, 28: 76, 29: 51,
-    30: 4, 31: 72, 32: 16, 33: 60, 34: 46, 35: 1890, 36: 60, 37: 31, 38: 4, 39: 94,
-    40: 8, 41: 18, 42: 7, 43: 322, 44: 25, 45: 26, 46: 6, 47: 63, 48: 19, 49: 46,
-    50: 35, 51: 1118, 52: 36, 53: 37, 54: 7, 55: 174, 56: 36, 57: 123, 58: 75,
-    59: 1318, 60: 351, 61: 537, 62: 30, 63: 130,
+    0: 762, 1: 823, 2: 465, 3: 18794, 4: 274, 5: 227, 6: 43, 7: 1026, 8: 26, 9: 67,
+    10: 37, 11: 1240, 12: 61, 13: 44, 14: 2, 15: 117, 16: 14, 17: 50, 18: 38, 19: 1390,
+    20: 29, 21: 21, 22: 7, 23: 89, 24: 5, 25: 22, 26: 10, 27: 193, 28: 69, 29: 45,
+    30: 3, 31: 68, 32: 16, 33: 68, 34: 51, 35: 1906, 36: 68, 37: 33, 38: 11, 39: 104,
+    40: 3, 41: 14, 42: 8, 43: 268, 44: 36, 45: 33, 46: 3, 47: 49, 48: 14, 49: 40,
+    50: 34, 51: 1086, 52: 38, 53: 47, 54: 10, 55: 192, 56: 45, 57: 109, 58: 105,
+    59: 1325, 60: 325, 61: 519, 62: 43, 63: 111,
 }
 # Correct shots out of 300 for each of full:4's 256 pairs, in legal_pairs order.
 GOLDEN_HITS = [
-    258, 266, 264, 266, 262, 254, 267, 272, 262, 257, 264, 261, 252, 273, 266, 255,
-    261, 264, 272, 261, 269, 258, 266, 275, 254, 264, 263, 253, 259, 260, 273, 262,
-    276, 263, 264, 252, 270, 271, 265, 268, 260, 264, 262, 256, 264, 265, 259, 262,
-    264, 258, 260, 263, 263, 259, 257, 270, 255, 268, 254, 256, 260, 259, 263, 262,
-    260, 256, 264, 247, 267, 259, 259, 256, 253, 260, 260, 266, 259, 263, 247, 259,
-    268, 265, 260, 263, 254, 270, 263, 266, 257, 267, 264, 274, 251, 263, 264, 254,
-    270, 269, 269, 270, 267, 252, 264, 244, 259, 263, 254, 273, 267, 260, 254, 253,
-    269, 260, 267, 260, 273, 265, 261, 269, 257, 253, 267, 263, 262, 251, 261, 269,
-    252, 254, 268, 256, 271, 264, 261, 267, 251, 260, 267, 264, 260, 268, 261, 262,
-    263, 270, 261, 258, 263, 264, 276, 266, 260, 256, 251, 272, 262, 248, 263, 258,
-    264, 264, 262, 254, 269, 259, 254, 255, 273, 249, 261, 264, 274, 271, 261, 262,
-    257, 261, 248, 253, 257, 266, 261, 248, 249, 248, 258, 262, 271, 265, 260, 257,
-    260, 272, 262, 259, 246, 260, 267, 264, 272, 262, 264, 264, 265, 249, 258, 267,
-    265, 254, 268, 263, 255, 258, 268, 255, 266, 251, 262, 265, 257, 253, 271, 261,
-    265, 262, 261, 266, 265, 266, 256, 254, 266, 271, 266, 267, 252, 257, 257, 259,
-    265, 274, 257, 270, 265, 268, 253, 257, 274, 270, 252, 256, 267, 258, 266, 263,
+    265, 268, 266, 258, 269, 260, 263, 272, 261, 252, 254, 256, 267, 264, 262, 254,
+    263, 264, 258, 262, 265, 258, 272, 272, 259, 250, 258, 255, 261, 260, 269, 270,
+    274, 254, 263, 260, 259, 269, 259, 261, 263, 260, 266, 262, 272, 255, 261, 256,
+    256, 263, 253, 263, 273, 266, 251, 269, 271, 263, 249, 261, 261, 250, 268, 262,
+    266, 265, 267, 263, 257, 266, 263, 256, 255, 262, 256, 269, 261, 252, 261, 256,
+    262, 263, 271, 258, 269, 263, 260, 259, 264, 259, 268, 273, 261, 259, 257, 263,
+    280, 269, 256, 267, 262, 270, 255, 253, 264, 256, 259, 261, 267, 266, 263, 261,
+    274, 264, 261, 271, 269, 273, 261, 267, 263, 262, 255, 273, 257, 256, 254, 264,
+    246, 253, 258, 253, 259, 265, 254, 261, 254, 256, 269, 267, 252, 261, 258, 263,
+    257, 268, 265, 251, 260, 254, 265, 261, 253, 266, 258, 268, 268, 263, 270, 269,
+    271, 254, 255, 254, 273, 255, 261, 262, 263, 262, 259, 271, 264, 265, 266, 268,
+    263, 262, 254, 259, 265, 261, 245, 262, 251, 264, 245, 264, 276, 273, 255, 258,
+    267, 260, 265, 265, 262, 277, 258, 264, 267, 277, 269, 262, 263, 262, 253, 261,
+    264, 260, 271, 254, 261, 257, 256, 271, 254, 264, 259, 265, 261, 265, 259, 249,
+    259, 254, 261, 262, 260, 270, 256, 253, 266, 265, 256, 267, 258, 262, 260, 259,
+    265, 265, 256, 260, 257, 261, 260, 258, 262, 265, 252, 256, 263, 265, 255, 255,
 ]
 
 
