@@ -25,12 +25,10 @@ from .circuit import (
     Gate,
     GateKind,
     Register,
-    assert_valid,
     ccx,
     cx,
     from_text,
     to_text,
-    validate,
     x,
 )
 from .distributed import (

@@ -92,6 +92,11 @@ class Circuit:
     name: str = ""
     meta: Mapping[str, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        errors = _violations(self)
+        if errors:
+            raise CircuitValidationError(errors)
+
     def register(self, name: str) -> Register:
         for reg in self.registers:
             if reg.name == name:
@@ -103,15 +108,16 @@ class Circuit:
 
 
 class CircuitValidationError(ValueError):
-    """Raised when a circuit violates a structural invariant."""
+    """Raised when a circuit is built that violates a structural invariant;
+    ``errors`` lists every violation."""
 
     def __init__(self, errors: list[str]):
         super().__init__("; ".join(errors))
         self.errors = errors
 
 
-def validate(circuit: Circuit) -> list[str]:
-    """Return every violated invariant (empty list means the circuit is ok)."""
+def _violations(circuit: Circuit) -> list[str]:
+    """Every invariant the circuit violates (empty when it is ok)."""
     errors: list[str] = []
     if circuit.width < 0:
         errors.append(f"negative width {circuit.width}")
@@ -127,7 +133,7 @@ def validate(circuit: Circuit) -> list[str]:
                 f"gate {i} ({gate.kind.value}): duplicate qubit in {gate.qubits}"
             )
     # The text format stores names and meta on whitespace-split lines, so
-    # these rules are what keeps every valid circuit readable by from_text.
+    # these rules are what keeps every circuit readable by from_text.
     if not _is_one_line(circuit.name):
         errors.append(f"circuit name {circuit.name!r} is not one trimmed line")
     for key, value in circuit.meta.items():
@@ -159,12 +165,6 @@ def _has_space(text: str) -> bool:
 
 def _is_one_line(text: str) -> bool:
     return text == text.strip() and len(text.splitlines()) <= 1
-
-
-def assert_valid(circuit: Circuit) -> None:
-    errors = validate(circuit)
-    if errors:
-        raise CircuitValidationError(errors)
 
 
 def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
@@ -335,7 +335,7 @@ def from_text(text: str) -> Circuit:
     """Parse the text format of to_text.
 
     A malformed line raises ValueError("line N: ...").  A well-formed text
-    whose circuit breaks an invariant of validate() raises
+    whose circuit breaks an invariant of Circuit raises
     CircuitValidationError.
     """
     width = -1
@@ -375,6 +375,4 @@ def from_text(text: str) -> Circuit:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if width < 0:
         raise ValueError("missing 'qubits' header")
-    circuit = Circuit(width, tuple(gates), tuple(registers), name, meta)
-    assert_valid(circuit)
-    return circuit
+    return Circuit(width, tuple(gates), tuple(registers), name, meta)

@@ -127,7 +127,8 @@ def cmd_synth(args) -> int:
     circuit = build_adder(FAMILY_NAMES[args.family], args.n)
     text = to_text(circuit)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _spec_errors("--out", args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -309,7 +310,8 @@ def cmd_table1(args) -> int:
 
 def _emit(document: ReportDocument, args) -> None:
     if getattr(args, "csv", None):
-        Path(args.csv).write_text(document.to_csv(), encoding="utf-8")
+        with _spec_errors("--csv", args.csv):
+            Path(args.csv).write_text(document.to_csv(), encoding="utf-8")
         print(f"wrote {args.csv}", file=sys.stderr)
     if getattr(args, "json", False):
         print(document.to_json())
@@ -336,7 +338,8 @@ def cmd_calibrate(args) -> int:
                              max_rounds=args.rounds)
     model = result.model
     if args.out:  # before printing, so a bad path leaves stdout empty
-        model.to_file(args.out)
+        with _spec_errors("--out", args.out):
+            model.to_file(args.out)
     print(f"p_not     {model.p_not:.6f}")
     print(f"p_cnot    {model.p_cnot:.6f}")
     print(f"p_toffoli {model.p_toffoli:.6f}")
@@ -435,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except SelectionError as exc:
         print(f"qrns: infeasible selection: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SimulationError, OverflowError) as exc:
+    except SimulationError as exc:
         print(f"qrns: simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     except (UsageError, ValueError, KeyError, OSError) as exc:

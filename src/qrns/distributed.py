@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adders import AdderFamily, AdderInstance, make_adder
-from .noise import NoiseModel, derive_seed, output_probability, run_shots
+from .noise import NoiseModel, check_shots, derive_seed, output_probability, run_shots
 from .resources import ResourceReport, resource_report
 from .rns import (
     ResidueVector,
     RnsSet,
     crt_reconstruct,
+    encode_residues,
     rns_efficiency,
     rns_range,
 )
@@ -85,9 +86,9 @@ class DistributedSum:
 def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
               base_seed: int) -> list[ResidueJob]:
     """One job per modulus; residues of a and b, per-job derived seeds."""
+    check_shots(shots)
+    a_residues, b_residues = (encode_residues(v, rns).residues for v in (a, b))
     total_range = rns_range(rns)
-    if not (0 <= a < total_range and 0 <= b < total_range):
-        raise ValueError(f"operands must lie in [0, {total_range})")
     if a + b >= total_range:
         raise RangeOverflowError(
             f"a+b = {a + b} >= range {total_range}; the residue system "
@@ -99,8 +100,8 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
             job_id=index,
             modulus=modulus,
             instance=make_adder(family, n),
-            a_residue=a % modulus,
-            b_residue=b % modulus,
+            a_residue=a_residues[index],
+            b_residue=b_residues[index],
             shots=shots,
             seed=derive_seed(base_seed, index, modulus),
         ))

@@ -105,6 +105,14 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def check_shots(shots: int) -> None:
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    # _simulate multiplies int64 row indices by the shot count.
+    if shots >= 2**63:
+        raise ValueError("shots must be below 2^63")
+
+
 def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
               noise: NoiseModel, seed: int,
               measure: Sequence[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -139,8 +147,7 @@ def run_shots(circuit: Circuit, inputs: np.ndarray, shots: int,
     ``inputs`` is the (1, width) state of ``instance.input_states([(a, b)])``.
     Deterministic for a given (inputs, shots, noise, seed).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     if np.shape(inputs) != (1, circuit.width):
         raise ValueError(f"inputs must be one (1, {circuit.width}) state, "
                          f"got shape {np.shape(inputs)}")
@@ -185,8 +192,7 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
     ``sampling`` is "exhaustive", "auto" (exhaustive below the pair cap,
     random above), or an explicit random pair count.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     check_readable(instance.output_wires)
     total_pairs = instance.value_count**2
     if sampling == "exhaustive":

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .circuit import Circuit, Gate, GateKind, assert_valid
+from .circuit import Circuit, Gate, GateKind
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ def _layered_depth(gates: Iterable[Gate]) -> int:
 
 
 def resource_report(circuit: Circuit) -> ResourceReport:
-    assert_valid(circuit)
     by_kind = {kind: [g for g in circuit.gates if g.kind is kind] for kind in GateKind}
     return ResourceReport(
         qubit_count=circuit.width,

@@ -26,14 +26,18 @@ class RnsSet:
     moduli: tuple[int, ...]
     families: tuple[tuple[AdderFamily, int], ...]
 
+    def __post_init__(self) -> None:
+        if any(m < 2 for m in self.moduli):
+            raise ValueError(f"moduli must be >= 2: {self.moduli}")
+        if not is_pairwise_coprime(self.moduli):
+            raise ValueError(f"moduli are not pairwise coprime: {self.moduli}")
+        if math.prod(self.moduli) >= RANGE_LIMIT:
+            raise ValueError(f"range of {self.moduli} is 2^64 or more")
+
     @classmethod
     def from_moduli(cls, moduli: Sequence[int],
                     force_pow2m1_for_3: bool = False) -> "RnsSet":
         moduli = tuple(moduli)
-        if any(m < 2 for m in moduli):
-            raise ValueError(f"moduli must be >= 2: {moduli}")
-        if not is_pairwise_coprime(moduli):
-            raise ValueError(f"moduli are not pairwise coprime: {moduli}")
         families = tuple(family_for_modulus(m, force_pow2m1_for_3) for m in moduli)
         return cls(moduli=moduli, families=families)
 
@@ -42,12 +46,7 @@ class RnsSet:
 
 
 def rns_range(rns: RnsSet) -> int:
-    product = 1
-    for m in rns.moduli:
-        product *= m
-        if product >= RANGE_LIMIT:
-            raise OverflowError(f"range of {rns.moduli} exceeds 2^64")
-    return product
+    return math.prod(rns.moduli)
 
 
 def rns_efficiency(rns: RnsSet, k: int) -> Fraction:
@@ -78,7 +77,7 @@ class ResidueVector:
 
 def encode_residues(value: int, rns: RnsSet) -> ResidueVector:
     if not 0 <= value < rns_range(rns):
-        raise ValueError(f"{value} outside [0, {rns_range(rns)})")
+        raise ValueError(f"operands must lie in [0, {rns_range(rns)})")
     return ResidueVector(rns=rns, residues=tuple(value % m for m in rns.moduli))
 
 

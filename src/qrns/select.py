@@ -19,12 +19,13 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
 
 from .adders import build_for_modulus, family_for_modulus
 from .reference import moduli_row
 from .resources import resource_report
-from .rns import RANGE_LIMIT, RnsSet, rns_range
+from .rns import RANGE_LIMIT, RnsSet
 
 # Largest moduli count the selector tries before giving up.
 C_CEILING = 6
@@ -38,8 +39,8 @@ class DepthSource(Enum):
 class SelectionError(Exception):
     """No qualifying moduli set exists within the configured limits."""
 
-    def __init__(self, message: str, binding_constraint: str):
-        super().__init__(message)
+    def __init__(self, binding_constraint: str):
+        super().__init__(f"no qualifying moduli set: {binding_constraint}")
         self.binding_constraint = binding_constraint
 
 
@@ -102,7 +103,8 @@ class SelectorConfig:
 
     @property
     def threshold(self) -> float:
-        return self.efficiency * self.k
+        # The exact product, rounded once: E*K may fit a float when K does not.
+        return float(Fraction(self.efficiency) * self.k)
 
 
 @dataclass(frozen=True)
@@ -147,9 +149,7 @@ def _exact_power_shortcut(cfg: SelectorConfig, trace: SelectionTrace) -> tuple[i
         return None
     h = exponent // 3
     moduli = (2**h - 1, 2**h, 2**h + 1)
-    total = 1
-    for m in moduli:
-        total *= m
+    total = math.prod(moduli)
     trace.log(f"K={k} = 2^(3*{h}): shortcut candidate {moduli}, range {total}")
     if total >= RANGE_LIMIT:
         trace.log(f"shortcut rejected: range {total} >= 2^64; enumerating")
@@ -241,6 +241,9 @@ def _enumerate(cfg: SelectorConfig, count: int, trace: SelectionTrace) -> Candid
 
 def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
     """Run the staged selection, returning the full decision trace."""
+    # Decided on the exact product: such a K may not even convert to a float.
+    if Fraction(cfg.efficiency) * cfg.k >= RANGE_LIMIT:
+        raise SelectionError("range >= E*K and range < 2^64, but E*K >= 2^64")
     trace = SelectionTrace(config=cfg)
     shortcut = _exact_power_shortcut(cfg, trace)
     if shortcut is not None:
@@ -255,15 +258,9 @@ def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
         count += 1
         if count <= C_CEILING:
             trace.log(f"incrementing moduli count to C={count}")
-    constraint = (f"range >= E*K = {cfg.threshold:g} and range < 2^64 "
-                  f"with pool {cfg.pool} and C <= {C_CEILING}")
-    trace.log(f"infeasible: {constraint}")
-    raise SelectionError(f"no qualifying moduli set: {constraint}", constraint)
+    raise SelectionError(f"range >= E*K = {cfg.threshold:g} and range < 2^64 "
+                         f"with pool {cfg.pool} and C <= {C_CEILING}")
 
 
 def select_rns(cfg: SelectorConfig) -> RnsSet:
-    trace = explain_selection(cfg)
-    rns = RnsSet.from_moduli(trace.final_moduli, cfg.force_pow2m1_for_3)
-    if rns_range(rns) < cfg.threshold:
-        raise AssertionError("selected set violates the range constraint")
-    return rns
+    return RnsSet.from_moduli(explain_selection(cfg).final_moduli, cfg.force_pow2m1_for_3)

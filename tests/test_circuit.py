@@ -7,6 +7,7 @@ from qrns.circuit import (
     MAX_READ_WIRES,
     VALID_TAGS,
     Circuit,
+    CircuitValidationError,
     Gate,
     GateKind,
     Register,
@@ -16,7 +17,6 @@ from qrns.circuit import (
     from_text,
     read_value,
     to_text,
-    validate,
     x,
 )
 from qrns.adders import (
@@ -36,35 +36,46 @@ def test_gate_arity_enforced():
         Gate(GateKind.TOFFOLI, (0, 1))
 
 
+def _violations(*args, **kwargs) -> list[str]:
+    """The errors that building Circuit(*args, **kwargs) raises."""
+    with pytest.raises(CircuitValidationError) as excinfo:
+        Circuit(*args, **kwargs)
+    return excinfo.value.errors
+
+
 def test_validate_minimal_ok():
-    assert validate(Circuit(2, (cx(0, 1),))) == []
+    assert Circuit(2, (cx(0, 1),)).gates == (cx(0, 1),)
 
 
 def test_validate_duplicate_qubit():
-    errors = validate(Circuit(2, (cx(0, 0),)))
+    errors = _violations(2, (cx(0, 0),))
     assert len(errors) == 1 and "duplicate" in errors[0]
 
 
 def test_validate_out_of_range():
-    errors = validate(Circuit(1, (cx(0, 1),)))
+    errors = _violations(1, (cx(0, 1),))
     assert len(errors) == 1 and "out of range" in errors[0]
 
 
+def test_validate_negative_qubit():
+    # Numpy would take -1 as the last column: it must not reach a kernel.
+    errors = _violations(3, (cx(0, -1),))
+    assert errors == ["gate 0 (cx): qubit -1 out of range for width 3"]
+
+
 def test_validate_overlapping_registers():
-    circuit = Circuit(3, (), (
+    errors = _violations(3, (), (
         Register("A", (0, 1)),
         Register("B", (1, 2)),
     ))
-    errors = validate(circuit)
     assert any("overlap" in e for e in errors)
 
 
 def test_validate_reports_every_violation():
-    circuit = Circuit(1, (cx(0, 0), cx(0, 5)), (
+    errors = _violations(1, (cx(0, 0), cx(0, 5)), (
         Register("A", (0,)),
         Register("B", (0,)),
     ))
-    errors = validate(circuit)
     assert len(errors) >= 3
 
 
@@ -234,32 +245,37 @@ def _circuits(draw):
         Register(name, tuple(group), draw(st.frozensets(st.sampled_from(sorted(VALID_TAGS)))))
         for name, group in zip(names, groups)
     )
-    return Circuit(width, tuple(gates), registers,
-                   draw(st.one_of(st.just(""), _ANY_NAMES)),
-                   draw(st.dictionaries(_ANY_NAMES, _ANY_NAMES, max_size=3)))
+    fields = (width, tuple(gates), registers,
+              draw(st.one_of(st.just(""), _ANY_NAMES)),
+              draw(st.dictionaries(_ANY_NAMES, _ANY_NAMES, max_size=3)))
+    # None stands for drawn fields that Circuit refuses.
+    try:
+        return Circuit(*fields)
+    except CircuitValidationError:
+        return None
 
 
 @settings(max_examples=300, deadline=None)
 @given(_circuits())
 def test_text_round_trip_of_random_circuits(circuit):
-    # Every circuit that validate() accepts must come back equal.
-    if not validate(circuit):
+    # Every circuit that can be built must come back equal.
+    if circuit is not None:
         assert from_text(to_text(circuit)) == circuit
 
 
 @pytest.mark.parametrize("circuit,message", [
-    (Circuit(2, registers=(Register("my reg", (0, 1)),)), "register name"),
-    (Circuit(2, registers=(Register("", (0,)),)), "register name"),
-    (Circuit(2, registers=(Register("A", ()),)), "no qubits"),
-    (Circuit(2, meta={"a=b": "c"}), "meta key"),
-    (Circuit(2, meta={"": "c"}), "meta key"),
-    (Circuit(2, meta={"a b": "c"}), "meta key"),
-    (Circuit(2, meta={"a": "c\nd"}), "not one trimmed line"),
-    (Circuit(2, meta={"a": " c"}), "not one trimmed line"),
-    (Circuit(2, name="x\ny"), "circuit name"),
+    (dict(registers=(Register("my reg", (0, 1)),)), "register name"),
+    (dict(registers=(Register("", (0,)),)), "register name"),
+    (dict(registers=(Register("A", ()),)), "no qubits"),
+    (dict(meta={"a=b": "c"}), "meta key"),
+    (dict(meta={"": "c"}), "meta key"),
+    (dict(meta={"a b": "c"}), "meta key"),
+    (dict(meta={"a": "c\nd"}), "not one trimmed line"),
+    (dict(meta={"a": " c"}), "not one trimmed line"),
+    (dict(name="x\ny"), "circuit name"),
 ])
 def test_validate_refuses_what_the_text_format_cannot_carry(circuit, message):
-    errors = validate(circuit)
+    errors = _violations(2, **circuit)
     assert len(errors) == 1 and message in errors[0]
 
 

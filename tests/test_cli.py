@@ -95,6 +95,20 @@ def test_select_infeasible_exit_code(capsys):
     assert "infeasible" in stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("select", "--k", str(10**400)),
+    ("dqc-add", "--a", "1", "--b", "1", "--k", str(10**400)),
+    ("compare", "--sizes", "1100"),
+], ids=["select", "dqc-add", "compare"])
+def test_k_beyond_every_range_is_infeasible(capsys, argv):
+    # E*K >= 2^64 is decided before K meets a float, which it may overflow.
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == ("qrns: infeasible selection: no qualifying moduli set: "
+                      "range >= E*K and range < 2^64, but E*K >= 2^64\n")
+
+
 def test_run_builder_spec_zero_noise(capsys):
     code, stdout, _ = run_cli(capsys, "run", "--circuit", "qdma:2",
                               "--noise", "zero", "--shots", "5")
@@ -374,10 +388,18 @@ def _write_noise_files(tmp_path):
      "No such file or directory"),
     (("calibrate", "--rows", "2,4,8", "--shots", "5", "--rounds", "1",
       "--out", "{tmp}/missing/m.txt"), "No such file or directory"),
+    (("run", "--circuit", "mod:5", "--shots", str(10**20)), "shots must be below 2^63"),
+    (("run", "--circuit", "mod:5", "--shots", str(2**63), "--a", "1", "--b", "2"),
+     "shots must be below 2^63"),
+    (("table1", "--shots", str(2**63)), "shots must be below 2^63"),
+    (("calibrate", "--rows", "2,4,8", "--shots", str(10**20)), "shots must be below 2^63"),
+    (("dqc-add", "--a", "1", "--b", "2", "--k", "64", "--shots", str(10**20)),
+     "shots must be below 2^63"),
 ], ids=["exhaustive-over-cap", "noise-rate-above-1", "noise-line-without-equals",
         "noise-not-utf8", "noise-directory", "circuit-directory",
         "circuit-name-too-long", "synth-out-unwritable", "table1-csv-unwritable",
-        "calibrate-out-unwritable"])
+        "calibrate-out-unwritable", "run-shots-2^63", "run-pair-shots-2^63",
+        "table1-shots-2^63", "calibrate-shots-2^63", "dqc-add-shots-2^63"])
 def test_bad_input_anywhere_exits_1_without_traceback(capsys, tmp_path, argv, message):
     _write_noise_files(tmp_path)
     code, stdout, stderr = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -438,6 +460,27 @@ def test_circuit_spec_errors_name_a_short_spec(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert len(stderr) < 300
     assert f"--circuit {'x' * 59}…: " in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "qdma", "2", "--out"),
+    ("calibrate", "--rows", "2,4,8", "--shots", "5", "--rounds", "1", "--out"),
+    ("table1", "--shots", "1", "--noise", "zero", "--csv"),
+    ("compare", "--sizes", "6", "--noise", "zero", "--csv"),
+], ids=["synth-out", "calibrate-out", "table1-csv", "compare-csv"])
+@pytest.mark.parametrize("path,start", [
+    ("d", "{option} d: Is a directory\n"),
+    ("x" * 5000, f"{{option}} {'x' * 59}…: File name too long\n"),
+], ids=["directory", "name-too-long"])
+def test_output_path_errors_name_their_option(capsys, tmp_path, monkeypatch,
+                                              argv, path, start):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code, stdout, stderr = run_cli(capsys, *argv, path)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "qrns: error: " + start.format(option=argv[-1])
+    assert len(stderr) < 300
 
 
 @pytest.mark.parametrize("spec,start", [

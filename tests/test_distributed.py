@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from qrns.adders import AdderFamily, make_adder
-from qrns.circuit import Circuit, cx
 from qrns.distributed import (
     RangeOverflowError,
     SimulationError,
@@ -71,17 +70,7 @@ def test_worker_count_does_not_change_results():
 
 def test_failed_job_is_isolated():
     jobs = plan_jobs(17, 25, RNS345, shots=20, base_seed=1)
-    broken_instance = jobs[1].instance
-    bad_circuit = Circuit(2, (cx(0, 5),), broken_instance.circuit.registers,
-                          broken_instance.circuit.name,
-                          dict(broken_instance.circuit.meta))
-    jobs[1] = type(jobs[1])(
-        job_id=jobs[1].job_id, modulus=jobs[1].modulus,
-        instance=type(broken_instance)(circuit=bad_circuit,
-                                       family=broken_instance.family,
-                                       n=broken_instance.n),
-        a_residue=jobs[1].a_residue, b_residue=jobs[1].b_residue,
-        shots=jobs[1].shots, seed=jobs[1].seed)
+    jobs[1] = dataclasses.replace(jobs[1], a_residue=99)
     results = execute_jobs(jobs, workers=3, noise=NoiseModel.zero())
     assert results[1].failed
     assert not results[0].failed and not results[2].failed

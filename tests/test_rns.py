@@ -46,9 +46,8 @@ def test_rns_range(moduli, expected):
 
 
 def test_rns_range_overflow_detection():
-    rns = RnsSet.from_moduli((2**31 - 1, 2**31, 2**31 + 1, 5))
-    with pytest.raises(OverflowError):
-        rns_range(rns)
+    with pytest.raises(ValueError, match="2\\^64 or more"):
+        RnsSet.from_moduli((2**31 - 1, 2**31, 2**31 + 1, 5))
 
 
 def test_rns_set_rejects_non_coprime():

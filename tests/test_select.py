@@ -243,6 +243,12 @@ def test_infeasible_beyond_2_64_names_the_limit():
                                          depth_source=DepthSource.BUILT))
 
 
+def test_k_beyond_the_float_range_still_selects():
+    # Any set covers an E*K this small, although K itself has no float value.
+    rns = select_rns(SelectorConfig(k=10**320, efficiency=5e-324))
+    assert rns.moduli == (2, 3, 5)
+
+
 def test_shortcut_refuses_a_range_reaching_2_64():
     trace = explain_selection(SelectorConfig(k=2**66, efficiency=0.2, max_n=12,
                                              depth_source=DepthSource.BUILT))
