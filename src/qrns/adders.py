@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .circuit import (
     apply_permutation_batch,
     ccx,
     cx,
-    pack_value,
     read_value,
     x,
 )
@@ -65,17 +64,19 @@ def classical_mod_add(a: int, b: int, m: int) -> int:
     return (a + b) % m
 
 
-def dim1_encode(value: int, n: int) -> int:
-    """Diminished-1 codeword of ``value`` for modulo (2^n + 1) arithmetic.
+def dim1_encode(value: int | np.ndarray, n: int) -> int | np.ndarray:
+    """Diminished-1 codeword of ``value`` for modulo (2^n + 1) arithmetic,
+    elementwise when ``value`` is an integer array.
 
     Values 1..2^n are stored as value-1 on the low n bits; 0 is stored as
     2^n, i.e. only the MSB set.  The MSB therefore flags zero.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= value <= 2**n:
+    values = np.asarray(value)
+    if values.size and (values.min() < 0 or values.max() > 2**n):
         raise ValueError(f"value {value} outside [0, {2**n}]")
-    return 2**n if value == 0 else value - 1
+    return (value - 1) % (2**n + 1)
 
 
 def dim1_decode(bits: int, n: int) -> int:
@@ -409,7 +410,11 @@ class AdderInstance:
         return tuple(q for reg in self.circuit.registers_tagged(TAG_OUTPUT)
                      for q in reg.qubits)
 
-    def encode_operand(self, value: int) -> int:
+    def encode_operand(self, value: int | np.ndarray) -> int | np.ndarray:
+        """Codeword of a legal operand value, elementwise on an integer array.
+
+        This is the one place that knows the family codec.
+        """
         if self.family is AdderFamily.MOD_POW2_PLUS1:
             return dim1_encode(value, self.n)
         return value
@@ -419,13 +424,32 @@ class AdderInstance:
             return dim1_decode(bits, self.n)
         return bits
 
-    def expected_output_bits(self, a: int, b: int) -> int:
-        """Oracle value of the measured register for legal inputs a, b."""
+    def expected_output_bits(self, a: int | np.ndarray,
+                             b: int | np.ndarray) -> int | np.ndarray:
+        """Oracle value of the measured register for legal inputs a, b,
+        elementwise on integer arrays."""
         if self.modulus is None:
             return a + b
-        return self.encode_operand(classical_mod_add(a, b, self.modulus))
+        return self.encode_operand((a + b) % self.modulus)
 
-    def input_states(self, pairs: list[tuple[int, int]]) -> np.ndarray:
+    def operand_array(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
+        """The (a, b) pairs, a sequence or a (pairs, 2) array, as a
+        (len(pairs), 2) integer array.
+
+        The array is int64, or holds Python ints when an operand sum may
+        not fit int64.  Operands outside [0, value_count) raise ValueError.
+        """
+        count = self.value_count
+        message = f"operands must lie in [0, {count})"
+        try:
+            operands = np.array(pairs, dtype=np.int64 if count <= 2**62 else object)
+        except OverflowError:  # an operand beyond int64
+            raise ValueError(message) from None
+        if operands.size and (operands.min() < 0 or operands.max() >= count):
+            raise ValueError(message)
+        return operands.reshape(len(pairs), 2)
+
+    def input_states(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
         """One basis state per (a, b) pair, the encoded operands on their
         wires and every other wire at zero.
 
@@ -433,15 +457,10 @@ class AdderInstance:
         starts from its rows.  Operands outside [0, value_count) raise
         ValueError.
         """
-        count = self.value_count
-        states = np.zeros((len(pairs), self.circuit.width), dtype=np.uint8)
-        for wires, values in zip((self.a_wires, self.b_wires), zip(*pairs)):
-            if min(values) < 0 or max(values) >= count:
-                raise ValueError(f"operands must lie in [0, {count})")
-            # Codewords wider than 64 bits stay Python ints.
-            codes = np.array([self.encode_operand(v) for v in values],
-                             dtype=np.uint64 if len(wires) <= 64 else object)
-            pack_value(codes, wires, states)
+        codes = self.encode_operand(self.operand_array(pairs))
+        states = np.zeros((len(codes), self.circuit.width), dtype=np.uint8)
+        for wires, column in zip((self.a_wires, self.b_wires), codes.T):
+            states[:, wires] = (column[:, np.newaxis] >> np.arange(len(wires))) & 1
         return states
 
     def legal_pairs(self) -> Iterator[tuple[int, int]]:
@@ -471,5 +490,16 @@ def adder_instance(circuit: Circuit) -> AdderInstance:
     return AdderInstance(circuit=circuit, family=family, n=n)
 
 
+# Distinct (family, n) instances make_adder keeps.  The paper's tables use
+# about twenty; a later call for an evicted one builds it again.
+MAKE_ADDER_CACHE = 64
+
+
+@lru_cache(maxsize=MAKE_ADDER_CACHE)
 def make_adder(family: AdderFamily, n: int) -> AdderInstance:
+    """The instance of the ``family`` adder on n-bit operands.
+
+    Instances are frozen, so one per (family, n) is built and shared by
+    every caller.
+    """
     return adder_instance(build_adder(family, n))

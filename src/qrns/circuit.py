@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,6 +107,14 @@ class Circuit:
     def registers_tagged(self, tag: str) -> tuple[Register, ...]:
         return tuple(r for r in self.registers if tag in r.tags)
 
+    @cached_property
+    def _flip_slots(self) -> np.ndarray:
+        """Gate g's qubits at [3g, 3g + arity), -1 in its other slots."""
+        slots = np.full(3 * len(self.gates), -1, dtype=np.int64)
+        for g, gate in enumerate(self.gates):
+            slots[3 * g:3 * g + len(gate.qubits)] = gate.qubits
+        return slots
+
 
 class CircuitValidationError(ValueError):
     """Raised when a circuit is built that violates a structural invariant;
@@ -183,12 +192,13 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
 
     A noisy call needs column-major (F-contiguous) ``states``: each qubit
     is then one contiguous column, and a gate's flips go into the flat
-    column buffer through one index per (hit row, qubit).
+    column buffer through the flip targets computed once per call (see
+    ``_flip_targets``).
     """
     if states.ndim != 2 or states.shape[1] != circuit.width:
         raise ValueError(f"states must be (*, {circuit.width})")
     rows = states.shape[0]
-    bounds = [0] * (len(circuit.gates) + 1)  # noiseless: no gate has error cells
+    bounds = [0] * (len(circuit.gates) + 1)  # noiseless: no gate has flips
     if error_rates is not None:
         if len(error_rates) != len(circuit.gates) or rng is None:
             raise ValueError("error_rates needs one rate per gate and an rng")
@@ -200,7 +210,7 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
             # the flips would land in the copy.
             raise ValueError("noisy states must be column-major (F-contiguous)")
         columns = states.T.reshape(-1)  # a view: qubit q is [q * rows, (q + 1) * rows)
-        cells, flips, bounds = _draw_errors(rates, rows, rng)
+        targets, bounds = _flip_targets(circuit, *_draw_errors(rates, rows, rng), rows)
     for g, gate in enumerate(circuit.gates):
         q = gate.qubits
         if gate.kind is GateKind.NOT:
@@ -211,12 +221,55 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
             states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
         lo, hi = bounds[g], bounds[g + 1]
         if lo < hi:
-            # Cell g * rows + r is row r, which qubit q holds at q * rows + r.
-            # Cells are distinct and so are a gate's qubits, so no index
-            # repeats and the buffered ^= loses no flip.
-            columns[cells[lo:hi, np.newaxis] + rows * (np.array(q) - g)] ^= \
-                flips[lo:hi, :len(q)]
+            # A gate's cells are distinct rows and its qubits are distinct,
+            # so no target repeats and the buffered ^= loses no flip.
+            columns[targets[lo:hi]] ^= 1
     return states
+
+
+# Cells whose flips _flip_targets handles at once.  Its temporaries then
+# stay near 60 KB.  Whole-chunk ones grew the heap past the draw's own
+# peak, and freeing them gave back pages that the next chunk faulted in
+# again: about 100 minor faults, at about 2.4 us each, per 20,000-row
+# mod-63 chunk on a pool thread.
+_TARGET_BLOCK = 2048
+
+
+def _flip_targets(circuit: Circuit, cells: np.ndarray, flips: np.ndarray,
+                  cell_bounds: list[int], rows: int) -> tuple[np.ndarray, list[int]]:
+    """Where the drawn flips land in the flat column buffer, gate by gate.
+
+    Returns ``row + qubit * rows`` for every flip bit that is 1 on a qubit
+    its gate touches, in gate order, and the gate bounds: gate g's targets
+    are [bounds[g], bounds[g + 1]).  ``flips``, 0/1 bytes, is overwritten.
+    """
+    counts = np.diff(cell_bounds)
+    slots = circuit._flip_slots.reshape(-1, 3)
+    touched = flips.view(bool)
+    # A gate uses the first arity bits of its cell's flips; drop the rest.
+    touched[:, 1] &= np.repeat(slots[:, 1] >= 0, counts)
+    touched[:, 2] &= np.repeat(slots[:, 2] >= 0, counts)
+    # Cell g * rows + r is row r after gate g.  Bit j of the cell goes to
+    # row r of the gate's j-th qubit q, at q * rows + r: a shift of
+    # (q - g) * rows, entry 3g + j of ``shifts``.
+    shifts = ((slots - np.arange(len(slots))[:, np.newaxis]) * rows).ravel()
+    targets = np.empty(np.count_nonzero(touched), dtype=np.int64)
+    bounds = np.zeros(len(cell_bounds), dtype=np.int64)
+    done = 0
+    for lo in range(0, len(cells), _TARGET_BLOCK):
+        # 3 * (cell - lo) + j, ascending, so in gate order
+        bits = np.flatnonzero(touched[lo:lo + _TARGET_BLOCK])
+        cell = bits // 3
+        at = cells[lo:lo + _TARGET_BLOCK].take(cell)
+        entry = at // rows
+        entry -= cell
+        entry *= 3
+        entry += bits  # 3 * (g - cell) + bits = 3g + j
+        np.add(at, shifts.take(entry), out=targets[done:done + len(bits)])
+        done += len(bits)
+        cell += lo
+        bounds += np.searchsorted(cell, cell_bounds)
+    return targets, bounds.tolist()
 
 
 def _draw_errors(rates: np.ndarray, rows: int,
@@ -250,13 +303,6 @@ def _draw_errors(rates: np.ndarray, rows: int,
     flips = np.unpackbits(raw.view(np.uint8))[:3 * cells.size].reshape(-1, 3)
     bounds = np.searchsorted(cells, np.arange(gates + 1) * rows).tolist()
     return cells, flips, bounds
-
-
-def pack_value(values: np.ndarray, wires: Sequence[int], state: np.ndarray) -> None:
-    """Write ``values``, one integer per row, little-endian onto ``wires``
-    of a (count, width) state."""
-    for i, w in enumerate(wires):
-        state[:, w] = (values >> i) & 1
 
 
 # read_value packs each measured row into an int64, so 63 wires at most.

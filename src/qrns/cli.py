@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .adders import (
     AdderFamily,
@@ -25,6 +26,7 @@ from .noise import (
     DEFAULT_NOISE,
     NoiseModel,
     calibrate_noise,
+    check_sampling,
     output_probability,
     run_shots,
 )
@@ -214,6 +216,8 @@ def cmd_run(args) -> int:
             for bits, count, note in rows:
                 print(f"{bits}  {count:6d}  {note}".rstrip())
         return EXIT_OK
+    with _spec_errors("--sample", str(args.sample)):
+        check_sampling(instance, args.sample)
     estimate = output_probability(instance, noise, shots=args.shots,
                                   seed=args.seed, sampling=args.sample)
     if args.json:
@@ -270,19 +274,23 @@ def cmd_dqc_add(args) -> int:
     return EXIT_OK
 
 
-def _sizes(text: str) -> list[int]:
+def _sizes(text: str) -> Sequence[int]:
+    """A size list like 6,8, or a range like 6..11, which stays a range
+    object: its upper end may be any integer, and the selector refuses a
+    size too large for it before anything runs."""
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            sizes = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in text.split(".."))
+            sizes: Sequence[int] = range(lo, hi + 1)
         else:
             sizes = [int(part) for part in text.split(",")]
+            lo = min(sizes)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a size list like 6..11 or 6,8: {text!r}") from None
     if not sizes:
         raise argparse.ArgumentTypeError(f"empty size range {text!r}")
-    if min(sizes) < MIN_SIZE:
+    if lo < MIN_SIZE:
         raise argparse.ArgumentTypeError(f"sizes must be >= {MIN_SIZE}, got {text!r}")
     return sizes
 
@@ -434,7 +442,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, inside the boundary
+        return code
+    except BrokenPipeError:
+        # The reader went away (qrns table1 | head -1): say nothing, and
+        # send what is still buffered to devnull, so that the flush at exit
+        # does not report the closed pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except SelectionError as exc:
         print(f"qrns: infeasible selection: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -12,6 +12,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .adders import AdderFamily, AdderInstance, make_adder
 from .noise import NoiseModel, check_shots, derive_seed, output_probability, run_shots
@@ -229,7 +230,14 @@ class ComparisonRow:
     gain_percent: float | None
 
 
-def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
+# Every size from here up is refused by the selector whatever the
+# efficiency E: a float E > 0 is at least 2^-1074, so E * 2^size >= 2^64.
+# gain_report gives such a size K = 2^_INFEASIBLE_SIZE, which gets the same
+# refusal, instead of a 2^size too large to compute.
+_INFEASIBLE_SIZE = 64 + 1074
+
+
+def gain_report(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
                 seed: int = 0, shots_mod: int = MOD_SHOTS,
                 shots_full: int = FULL_SHOTS, budget: int = DEVICE_BUDGET,
                 depth_source: DepthSource = DepthSource.PAPER_TABLE
@@ -238,16 +246,22 @@ def gain_report(sizes: list[int], efficiency: float, noise: NoiseModel,
 
     A size-s adder produces an s-bit sum from (s-1)-bit operands; its
     residue counterpart is selected for K = 2^s.  The monolithic
-    probability column goes None above the qubit budget.
+    probability column goes None above the qubit budget.  Every size is
+    checked and its set selected before any simulation runs, from the
+    last size back: a range's last size is its largest, so an infeasible
+    range fails at once and is never listed.
     """
-    if any(size < MIN_SIZE for size in sizes):
-        raise ValueError(f"sizes below {MIN_SIZE} leave K under the selector minimum")
+    selected: dict[int, RnsSet] = {}
+    for size in reversed(sizes):
+        if size < MIN_SIZE:
+            raise ValueError(f"sizes below {MIN_SIZE} leave K under the selector minimum")
+        selected[size] = select_rns(SelectorConfig(
+            k=2**min(size, _INFEASIBLE_SIZE), efficiency=efficiency,
+            depth_source=depth_source))
     rows = []
     mod_probs: dict[int, float] = {}
     for size in sizes:
-        cfg = SelectorConfig(k=2**size, efficiency=efficiency,
-                             depth_source=depth_source)
-        rns = select_rns(cfg)
+        rns = selected[size]
         instances = {m: make_adder(fam, n)
                      for m, (fam, n) in zip(rns.moduli, rns.families)}
         set_prob = 1.0

@@ -32,6 +32,11 @@ from .circuit import (
 
 EXHAUSTIVE_PAIR_CAP = 2**12
 DEFAULT_RANDOM_PAIRS = 256
+# The largest random pair count.  The estimate keeps an (a, b, frequency)
+# tuple of Python objects per pair, about 200 bytes, so 2^16 pairs hold
+# some 13 MB; a larger count is a typo, and one numpy cannot allocate
+# would fail with its bare "Maximum allowed dimension exceeded".
+MAX_RANDOM_PAIRS = 2**16
 # Rows (input x shot) simulated at once: bounds the state array at
 # CHUNK_ROWS x width bytes, whatever the pair and shot counts.
 CHUNK_ROWS = 1 << 15
@@ -174,14 +179,38 @@ class ProbabilityEstimate:
         return math.sqrt(0.25 / self.shots)
 
 
-def _sample_pairs(instance: AdderInstance, pair_count: int,
-                  seed: int) -> list[tuple[int, int]]:
+def check_sampling(instance: AdderInstance, sampling: int | str) -> None:
+    """Refuse a ``sampling`` spec that output_probability cannot run."""
+    if sampling == "exhaustive":
+        total_pairs = instance.value_count**2
+        if total_pairs > EXHAUSTIVE_PAIR_CAP:
+            raise ValueError(
+                f"{total_pairs} input pairs exceed the exhaustive cap "
+                f"{EXHAUSTIVE_PAIR_CAP}; use random sampling"
+            )
+    elif isinstance(sampling, int):
+        if not 1 <= sampling <= MAX_RANDOM_PAIRS:
+            raise ValueError(f"pair count must be in [1, {MAX_RANDOM_PAIRS}], "
+                             f"got {sampling}")
+    elif sampling != "auto":
+        raise ValueError(f"bad sampling spec {sampling!r}")
+
+
+def _input_pairs(instance: AdderInstance, sampling: int | str,
+                 seed: int) -> np.ndarray:
+    """The (pairs, 2) operand array that ``sampling`` asks for."""
+    check_sampling(instance, sampling)
+    count = instance.value_count
+    if sampling == "exhaustive" or (sampling == "auto"
+                                    and count**2 <= EXHAUSTIVE_PAIR_CAP):
+        # Every legal pair, in the order of instance.legal_pairs().
+        return np.stack(np.divmod(np.arange(count**2), count), axis=1)
+    pair_count = DEFAULT_RANDOM_PAIRS if sampling == "auto" else sampling
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "pairs")))
     # The closed interval keeps a count of 2^63 (mod-pow2:63) in int64.
-    top = instance.value_count - 1
-    a = rng.integers(0, top, size=pair_count, endpoint=True)
-    b = rng.integers(0, top, size=pair_count, endpoint=True)
-    return [(int(x), int(y)) for x, y in zip(a, b)]
+    a = rng.integers(0, count - 1, size=pair_count, endpoint=True)
+    b = rng.integers(0, count - 1, size=pair_count, endpoint=True)
+    return np.stack((a, b), axis=1)
 
 
 def output_probability(instance: AdderInstance, noise: NoiseModel,
@@ -194,28 +223,9 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
     """
     check_shots(shots)
     check_readable(instance.output_wires)
-    total_pairs = instance.value_count**2
-    if sampling == "exhaustive":
-        if total_pairs > EXHAUSTIVE_PAIR_CAP:
-            raise ValueError(
-                f"{total_pairs} input pairs exceed the exhaustive cap "
-                f"{EXHAUSTIVE_PAIR_CAP}; use random sampling"
-            )
-        pairs = list(instance.legal_pairs())
-    elif sampling == "auto":
-        if total_pairs <= EXHAUSTIVE_PAIR_CAP:
-            pairs = list(instance.legal_pairs())
-        else:
-            pairs = _sample_pairs(instance, DEFAULT_RANDOM_PAIRS, seed)
-    elif isinstance(sampling, int):
-        if sampling < 1:
-            raise ValueError(f"pair count must be >= 1, got {sampling}")
-        pairs = _sample_pairs(instance, sampling, seed)
-    else:
-        raise ValueError(f"bad sampling spec {sampling!r}")
-
-    expected = np.array([instance.expected_output_bits(a, b) for a, b in pairs],
-                        dtype=np.int64)
+    pairs = instance.operand_array(_input_pairs(instance, sampling, seed))
+    expected = np.asarray(instance.expected_output_bits(pairs[:, 0], pairs[:, 1]),
+                          dtype=np.int64)
     hits = np.zeros(len(pairs), dtype=np.int64)
     for first, counts, values in _simulate(instance.circuit, instance.input_states(pairs),
                                            shots, noise, seed, instance.output_wires):
@@ -223,7 +233,8 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
         correct = values == np.repeat(expected[span], counts)
         hits[span] += np.add.reduceat(correct, np.cumsum(counts) - counts, dtype=np.int64)
     frequencies = hits / shots
-    per_pair = tuple((a, b, f) for (a, b), f in zip(pairs, frequencies.tolist()))
+    a, b = pairs.T.tolist()
+    per_pair = tuple(zip(a, b, frequencies.tolist()))
     return ProbabilityEstimate(mean=float(np.mean(frequencies)), per_pair=per_pair,
                                shots=shots, seed=seed)
 

@@ -6,7 +6,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 from . import __version__
 from .adders import make_adder
@@ -139,7 +139,7 @@ TABLE2_COLUMNS = (
 )
 
 
-def build_table2(sizes: list[int], efficiency: float, noise: NoiseModel,
+def build_table2(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
                  seed: int, budget: int,
                  depth_source: DepthSource = DepthSource.PAPER_TABLE,
                  shots_mod: int = MOD_SHOTS,
@@ -172,6 +172,6 @@ def build_table2(sizes: list[int], efficiency: float, noise: NoiseModel,
         kind=ReportKind.TABLE2,
         columns=TABLE2_COLUMNS,
         rows=tuple(rows),
-        metadata=base_metadata(seed, noise, sizes=sizes, efficiency=efficiency,
+        metadata=base_metadata(seed, noise, sizes=list(sizes), efficiency=efficiency,
                                budget=budget, depth_source=depth_source.value),
     )

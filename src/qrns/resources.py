@@ -8,9 +8,8 @@ other gates removed entirely (they do not block).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, GateKind
 
 
 @dataclass(frozen=True)
@@ -24,25 +23,28 @@ class ResourceReport:
     total_depth: int
 
 
-def _layered_depth(gates: Iterable[Gate]) -> int:
-    last_layer: dict[int, int] = {}
-    depth = 0
-    for gate in gates:
-        layer = 1 + max((last_layer.get(q, 0) for q in gate.qubits), default=0)
-        for q in gate.qubits:
-            last_layer[q] = layer
-        depth = max(depth, layer)
-    return depth
-
-
 def resource_report(circuit: Circuit) -> ResourceReport:
-    by_kind = {kind: [g for g in circuit.gates if g.kind is kind] for kind in GateKind}
+    """Counts and the three depths, from one pass over the gates.
+
+    Each schedule holds the last layer it used on every qubit; its depth
+    is the largest of them at the end.
+    """
+    every, toffolis, cnots = ([0] * circuit.width for _ in range(3))
+    schedules = {GateKind.NOT: (every,), GateKind.CNOT: (every, cnots),
+                 GateKind.TOFFOLI: (every, toffolis)}
+    for gate in circuit.gates:
+        qubits = gate.qubits
+        for layers in schedules[gate.kind]:
+            layer = 1 + max(map(layers.__getitem__, qubits))
+            for q in qubits:
+                layers[q] = layer
+    kinds = [gate.kind for gate in circuit.gates]
     return ResourceReport(
         qubit_count=circuit.width,
-        toffoli_count=len(by_kind[GateKind.TOFFOLI]),
-        cnot_count=len(by_kind[GateKind.CNOT]),
-        not_count=len(by_kind[GateKind.NOT]),
-        toffoli_depth=_layered_depth(by_kind[GateKind.TOFFOLI]),
-        cnot_depth=_layered_depth(by_kind[GateKind.CNOT]),
-        total_depth=_layered_depth(circuit.gates),
+        toffoli_count=kinds.count(GateKind.TOFFOLI),
+        cnot_count=kinds.count(GateKind.CNOT),
+        not_count=kinds.count(GateKind.NOT),
+        toffoli_depth=max(toffolis, default=0),
+        cnot_depth=max(cnots, default=0),
+        total_depth=max(every, default=0),
     )

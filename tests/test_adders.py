@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,29 @@ def test_qdma_resources_are_exact():
         assert report.qubit_count == qubits
 
 
+def _layered_depth(gates):
+    """ASAP depth of a gate sequence, one schedule at a time."""
+    last_layer = {}
+    depth = 0
+    for gate in gates:
+        layer = 1 + max((last_layer.get(q, 0) for q in gate.qubits), default=0)
+        for q in gate.qubits:
+            last_layer[q] = layer
+        depth = max(depth, layer)
+    return depth
+
+
+@pytest.mark.parametrize("family", list(AdderFamily))
+def test_one_pass_depths_match_a_schedule_per_kind(family):
+    for n in range(2, 12):
+        gates = build_adder(family, n).gates
+        report = resource_report(build_adder(family, n))
+        assert report.total_depth == _layered_depth(gates)
+        for kind, depth in ((GateKind.TOFFOLI, report.toffoli_depth),
+                            (GateKind.CNOT, report.cnot_depth)):
+            assert depth == _layered_depth(g for g in gates if g.kind is kind)
+
+
 def test_qdma_nand_stage_budget():
     # The three-input inverted product costs two Toffolis and six NOTs.
     report = resource_report(build_qdma(3))
@@ -327,6 +352,67 @@ def test_input_states_match_operand_inputs(family, n):
         assert wire_value(row, instance.a_wires) == instance.encode_operand(a)
         assert wire_value(row, instance.b_wires) == instance.encode_operand(b)
         assert not row[others].any()
+
+
+def _reference_code(family, n, value):
+    """Codeword of one operand, written out per family."""
+    if family is AdderFamily.MOD_POW2_PLUS1:
+        return 2**n if value == 0 else value - 1
+    return value
+
+
+def _reference_states(instance, pairs):
+    """input_states one value and one wire at a time."""
+    states = np.zeros((len(pairs), instance.circuit.width), dtype=np.uint8)
+    for row, pair in enumerate(pairs):
+        for wires, value in zip((instance.a_wires, instance.b_wires), pair):
+            code = instance.encode_operand(value)
+            assert code == _reference_code(instance.family, instance.n, value)
+            for i, w in enumerate(wires):
+                states[row, w] = (code >> i) & 1
+    return states
+
+
+CODEC_CASES = [(family, n) for family in AdderFamily for n in (1, 2, 3, 4, 5, 6, 62, 63)
+               if (family, n) != (AdderFamily.MOD_POW2_MINUS1, 1)]
+
+
+@pytest.mark.parametrize("family,n", CODEC_CASES)
+def test_array_codec_matches_the_per_value_reference(family, n):
+    instance = make_adder(family, n)
+    count = instance.value_count
+    rng = random.Random(f"{family.value}:{n}")
+    if count <= 8:
+        pairs = list(instance.legal_pairs())
+    else:
+        edges = [0, 1, count - 2, count - 1]
+        pairs = [(a, b) for a in edges for b in edges]
+        pairs += [(rng.randrange(count), rng.randrange(count)) for _ in range(40)]
+    operands = instance.operand_array(pairs)
+    # Python ints wherever an operand sum may not fit int64.
+    assert operands.dtype == (object if count > 2**62 else np.int64)
+    assert np.array_equal(instance.input_states(pairs), _reference_states(instance, pairs))
+    expected = instance.expected_output_bits(operands[:, 0], operands[:, 1])
+    modulus = instance.modulus
+    assert [int(v) for v in expected] == [
+        instance.expected_output_bits(a, b) for a, b in pairs] == [
+        a + b if modulus is None else _reference_code(family, n, (a + b) % modulus)
+        for a, b in pairs]
+
+
+@pytest.mark.parametrize("family,n", CODEC_CASES)
+@pytest.mark.parametrize("operand", [-1, 2**70])
+def test_operands_beyond_int64_or_below_zero_raise_value_error(family, n, operand):
+    instance = make_adder(family, n)
+    for pair in [(operand, 0), (0, operand)]:
+        with pytest.raises(ValueError, match=r"operands must lie in \[0, "):
+            instance.input_states([(1, 1), pair])
+
+
+def test_make_adder_returns_one_shared_instance():
+    assert make_adder(AdderFamily.MOD_POW2_PLUS1, 3) is make_adder(
+        AdderFamily.MOD_POW2_PLUS1, 3)
+    assert make_adder(AdderFamily.FULL, 3) is not make_adder(AdderFamily.MOD_POW2, 3)
 
 
 @pytest.mark.parametrize("family,n,pair", [

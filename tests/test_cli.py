@@ -1,11 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrns
 from qrns.adders import MAX_ADDER_N
 from qrns.cli import main
+from qrns.noise import MAX_RANDOM_PAIRS
 
 
 def run_cli(capsys, *argv):
@@ -99,7 +105,9 @@ def test_select_infeasible_exit_code(capsys):
     ("select", "--k", str(10**400)),
     ("dqc-add", "--a", "1", "--b", "1", "--k", str(10**400)),
     ("compare", "--sizes", "1100"),
-], ids=["select", "dqc-add", "compare"])
+    # A range is not listed: its last size is selected first and refused.
+    ("compare", "--sizes", f"6..{10**20}"),
+], ids=["select", "dqc-add", "compare", "compare-huge-range"])
 def test_k_beyond_every_range_is_infeasible(capsys, argv):
     # E*K >= 2^64 is decided before K meets a float, which it may overflow.
     code, stdout, stderr = run_cli(capsys, *argv)
@@ -395,11 +403,16 @@ def _write_noise_files(tmp_path):
     (("calibrate", "--rows", "2,4,8", "--shots", str(10**20)), "shots must be below 2^63"),
     (("dqc-add", "--a", "1", "--b", "2", "--k", "64", "--shots", str(10**20)),
      "shots must be below 2^63"),
+    (("run", "--circuit", "full:5", "--sample", str(10**20), "--noise", "zero"),
+     f"--sample {10**20}: pair count must be in [1, {MAX_RANDOM_PAIRS}]"),
+    (("run", "--circuit", "full:5", "--sample", str(MAX_RANDOM_PAIRS + 1), "--noise",
+      "zero"), f"--sample {MAX_RANDOM_PAIRS + 1}: pair count must be in [1, "),
 ], ids=["exhaustive-over-cap", "noise-rate-above-1", "noise-line-without-equals",
         "noise-not-utf8", "noise-directory", "circuit-directory",
         "circuit-name-too-long", "synth-out-unwritable", "table1-csv-unwritable",
         "calibrate-out-unwritable", "run-shots-2^63", "run-pair-shots-2^63",
-        "table1-shots-2^63", "calibrate-shots-2^63", "dqc-add-shots-2^63"])
+        "table1-shots-2^63", "calibrate-shots-2^63", "dqc-add-shots-2^63",
+        "run-sample-10^20", "run-sample-over-cap"])
 def test_bad_input_anywhere_exits_1_without_traceback(capsys, tmp_path, argv, message):
     _write_noise_files(tmp_path)
     code, stdout, stderr = run_cli(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -498,3 +511,21 @@ def test_noise_spec_errors_name_a_short_spec(capsys, tmp_path, monkeypatch, spec
     assert stdout == ""
     assert stderr.startswith(start)
     assert len(stderr) < 300
+
+
+def test_closed_stdout_exits_1_quietly():
+    # As in `qrns select --k 256 | head -0`: the reader is gone before qrns
+    # writes.  No error line, and no "Exception ignored" line at exit.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(qrns.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from qrns.cli import main; sys.exit(main())",
+             "select", "--k", "256", "--trace"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from qrns.adders import AdderFamily, make_adder
-from qrns.circuit import Circuit, apply_permutation_batch, cx, x
+from qrns.circuit import (
+    Circuit,
+    GateKind,
+    _draw_errors,
+    apply_permutation_batch,
+    ccx,
+    cx,
+    x,
+)
 from qrns.noise import (
     CHUNK_ROWS,
     DEFAULT_NOISE,
@@ -211,6 +219,56 @@ def test_per_pair_over_three_chunks_is_golden():
     pairs = list(instance.legal_pairs())
     assert estimate.per_pair == tuple(
         (a, b, hits / 300) for (a, b), hits in zip(pairs, GOLDEN_HITS))
+
+
+def per_gate_flips(circuit, states, rates, rng):
+    """The noisy kernel with each gate placing its own flips, from the
+    same _draw_errors events: gate g XORs its cells' first arity flip bits
+    into its qubits."""
+    rows = states.shape[0]
+    columns = states.T.reshape(-1)
+    cells, flips, bounds = _draw_errors(np.asarray(rates, dtype=float), rows, rng)
+    for g, gate in enumerate(circuit.gates):
+        q = gate.qubits
+        if gate.kind is GateKind.NOT:
+            states[:, q[0]] ^= 1
+        elif gate.kind is GateKind.CNOT:
+            states[:, q[1]] ^= states[:, q[0]]
+        else:
+            states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
+        lo, hi = bounds[g], bounds[g + 1]
+        if lo < hi:
+            columns[cells[lo:hi, np.newaxis] + rows * (np.array(q) - g)] ^= \
+                flips[lo:hi, :len(q)]
+    return states
+
+
+def random_circuit(rng, width, gate_count):
+    gates = []
+    for _ in range(gate_count):
+        arity = int(rng.integers(1, min(3, width) + 1))
+        qubits = [int(q) for q in rng.permutation(width)[:arity]]
+        gates.append((x, cx, ccx)[arity - 1](*qubits))
+    return Circuit(width, tuple(gates))
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_flip_targets_match_per_gate_flips(case):
+    # Mixed arities, row counts that are not powers of two, and rates of
+    # 0 and 1 beside others: the flips land exactly where each gate would
+    # place them itself.
+    rng = np.random.default_rng(case)
+    width = int(rng.integers(1, 9))
+    circuit = random_circuit(rng, width, int(rng.integers(1, 40)))
+    rows = int(rng.choice([1, 3, 7, 100, 999, 5000]))
+    rates = rng.choice([0.0, 1.0, 0.02, 0.3, 0.7], size=len(circuit.gates))
+    start = np.asfortranarray(rng.integers(0, 2, size=(rows, width), dtype=np.uint8))
+    seed = int(rng.integers(2**32))
+    got = apply_permutation_batch(circuit, start.copy(order="F"), rates,
+                                  np.random.default_rng(seed))
+    want = per_gate_flips(circuit, start.copy(order="F"), rates,
+                          np.random.default_rng(seed))
+    assert np.array_equal(got, want)
 
 
 def test_noisy_call_needs_column_major_states():

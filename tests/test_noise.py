@@ -7,8 +7,10 @@ from qrns.adders import AdderFamily, dim1_encode, make_adder
 from qrns.circuit import GateKind, apply_permutation_batch, read_value
 from qrns.noise import (
     DEFAULT_NOISE,
+    MAX_RANDOM_PAIRS,
     NoiseModel,
     calibrate_noise,
+    check_sampling,
     derive_seed,
     output_probability,
     run_shots,
@@ -130,6 +132,16 @@ def test_output_probability_exhaustive_cap():
     estimate = output_probability(instance, NoiseModel.zero(), shots=1,
                                   seed=0, sampling=64)
     assert len(estimate.per_pair) == 64
+
+
+def test_random_pair_count_is_capped():
+    instance = make_adder(AdderFamily.FULL, 7)
+    check_sampling(instance, MAX_RANDOM_PAIRS)
+    for count in (MAX_RANDOM_PAIRS + 1, 10**20):
+        with pytest.raises(ValueError,
+                           match=rf"pair count must be in \[1, {MAX_RANDOM_PAIRS}\]"):
+            output_probability(instance, NoiseModel.zero(), shots=1, seed=0,
+                               sampling=count)
 
 
 def test_output_probability_deterministic():
