@@ -8,12 +8,10 @@ from .adders import (
     AdderInstance,
     adder_instance,
     build_adder,
-    build_for_modulus,
     build_full_adder,
     build_mod_pow2,
     build_mod_pow2_minus1,
     build_qdma,
-    classical_mod_add,
     dim1_decode,
     dim1_encode,
     family_for_modulus,

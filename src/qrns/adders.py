@@ -33,6 +33,7 @@ from .circuit import (
     read_value,
     x,
 )
+from .resources import ResourceReport, resource_report
 
 
 class AdderFamily(Enum):
@@ -52,16 +53,7 @@ def family_modulus(family: AdderFamily, n: int) -> int | None:
     return 2**n + 1
 
 
-# --- classical oracle and diminished-1 codec -----------------------------
-
-
-def classical_mod_add(a: int, b: int, m: int) -> int:
-    """Modular sum of two residues in [0, m)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if not (0 <= a < m and 0 <= b < m):
-        raise ValueError(f"inputs must lie in [0, {m}), got {a}, {b}")
-    return (a + b) % m
+# --- diminished-1 codec ---------------------------------------------------
 
 
 def dim1_encode(value: int | np.ndarray, n: int) -> int | np.ndarray:
@@ -364,11 +356,6 @@ def family_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> tuple[AdderF
     return family, n
 
 
-def build_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> Circuit:
-    family, n = family_for_modulus(m, force_pow2m1_for_3)
-    return build_adder(family, n)
-
-
 # --- instance harness ------------------------------------------------------
 
 
@@ -395,6 +382,10 @@ class AdderInstance:
     def value_count(self) -> int:
         """Number of legal input values for each operand."""
         return self.modulus or 2**self.n
+
+    @cached_property
+    def resources(self) -> ResourceReport:
+        return resource_report(self.circuit)
 
     @cached_property
     def a_wires(self) -> tuple[int, ...]:

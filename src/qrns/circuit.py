@@ -108,12 +108,13 @@ class Circuit:
         return tuple(r for r in self.registers if tag in r.tags)
 
     @cached_property
-    def _flip_slots(self) -> np.ndarray:
-        """Gate g's qubits at [3g, 3g + arity), -1 in its other slots."""
-        slots = np.full(3 * len(self.gates), -1, dtype=np.int64)
+    def gate_qubits(self) -> np.ndarray:
+        """(gates, 3) int64 table: row g is gate g's qubits, padded with -1."""
+        table = np.full((len(self.gates), 3), -1, dtype=np.int64)
         for g, gate in enumerate(self.gates):
-            slots[3 * g:3 * g + len(gate.qubits)] = gate.qubits
-        return slots
+            table[g, :len(gate.qubits)] = gate.qubits
+        table.flags.writeable = False  # shared by every reader of the circuit
+        return table
 
 
 class CircuitValidationError(ValueError):
@@ -177,40 +178,31 @@ def _is_one_line(text: str) -> bool:
 
 
 def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
-                            error_rates: Sequence[float] | None = None,
-                            rng: np.random.Generator | None = None) -> np.ndarray:
+                            flips: tuple[np.ndarray, Sequence[int]] | None = None
+                            ) -> np.ndarray:
     """Apply the circuit to many basis states in place.
 
     ``states`` is a (count, width) uint8 array of 0/1 values; column i is
     qubit i.  Returns the same array for convenience.
 
-    With ``error_rates`` (one probability per gate) and ``rng``, an error
-    event follows gate g on each row independently with probability
-    ``error_rates[g]`` and flips each qubit the gate touches with
-    probability 1/2.  Only the rows that an event hits are drawn, for
-    every gate at once, before the gate loop (see ``_draw_errors``).
-
-    A noisy call needs column-major (F-contiguous) ``states``: each qubit
-    is then one contiguous column, and a gate's flips go into the flat
-    column buffer through the flip targets computed once per call (see
-    ``_flip_targets``).
+    ``flips = (targets, bounds)`` puts bit flips between the gates: after
+    gate g, 1 is XORed into the flat column buffer of ``states`` at
+    ``targets[bounds[g]:bounds[g + 1]]``, where entry q * count + r is
+    row r of qubit q.  Each gate's targets must be distinct.  With flips,
+    ``states`` must be column-major (F-contiguous), so that the flat
+    buffer is a view of it.
     """
     if states.ndim != 2 or states.shape[1] != circuit.width:
         raise ValueError(f"states must be (*, {circuit.width})")
-    rows = states.shape[0]
-    bounds = [0] * (len(circuit.gates) + 1)  # noiseless: no gate has flips
-    if error_rates is not None:
-        if len(error_rates) != len(circuit.gates) or rng is None:
-            raise ValueError("error_rates needs one rate per gate and an rng")
-        rates = np.asarray(error_rates, dtype=float)
-        if not np.all((rates >= 0.0) & (rates <= 1.0)):
-            raise ValueError("error rates must lie in [0, 1]")
+    if flips is None:
+        targets, bounds = (), [0] * (len(circuit.gates) + 1)  # no gate has flips
+    else:
         if not states.flags.f_contiguous:
             # The flat view below would be a copy of a row-major array, and
             # the flips would land in the copy.
-            raise ValueError("noisy states must be column-major (F-contiguous)")
-        columns = states.T.reshape(-1)  # a view: qubit q is [q * rows, (q + 1) * rows)
-        targets, bounds = _flip_targets(circuit, *_draw_errors(rates, rows, rng), rows)
+            raise ValueError("states with flips must be column-major (F-contiguous)")
+        columns = states.T.reshape(-1)  # a view: qubit q is [q * count, (q + 1) * count)
+        targets, bounds = flips
     for g, gate in enumerate(circuit.gates):
         q = gate.qubits
         if gate.kind is GateKind.NOT:
@@ -221,88 +213,9 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
             states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
         lo, hi = bounds[g], bounds[g + 1]
         if lo < hi:
-            # A gate's cells are distinct rows and its qubits are distinct,
-            # so no target repeats and the buffered ^= loses no flip.
+            # Distinct targets, so the buffered ^= loses no flip.
             columns[targets[lo:hi]] ^= 1
     return states
-
-
-# Cells whose flips _flip_targets handles at once.  Its temporaries then
-# stay near 60 KB.  Whole-chunk ones grew the heap past the draw's own
-# peak, and freeing them gave back pages that the next chunk faulted in
-# again: about 100 minor faults, at about 2.4 us each, per 20,000-row
-# mod-63 chunk on a pool thread.
-_TARGET_BLOCK = 2048
-
-
-def _flip_targets(circuit: Circuit, cells: np.ndarray, flips: np.ndarray,
-                  cell_bounds: list[int], rows: int) -> tuple[np.ndarray, list[int]]:
-    """Where the drawn flips land in the flat column buffer, gate by gate.
-
-    Returns ``row + qubit * rows`` for every flip bit that is 1 on a qubit
-    its gate touches, in gate order, and the gate bounds: gate g's targets
-    are [bounds[g], bounds[g + 1]).  ``flips``, 0/1 bytes, is overwritten.
-    """
-    counts = np.diff(cell_bounds)
-    slots = circuit._flip_slots.reshape(-1, 3)
-    touched = flips.view(bool)
-    # A gate uses the first arity bits of its cell's flips; drop the rest.
-    touched[:, 1] &= np.repeat(slots[:, 1] >= 0, counts)
-    touched[:, 2] &= np.repeat(slots[:, 2] >= 0, counts)
-    # Cell g * rows + r is row r after gate g.  Bit j of the cell goes to
-    # row r of the gate's j-th qubit q, at q * rows + r: a shift of
-    # (q - g) * rows, entry 3g + j of ``shifts``.
-    shifts = ((slots - np.arange(len(slots))[:, np.newaxis]) * rows).ravel()
-    targets = np.empty(np.count_nonzero(touched), dtype=np.int64)
-    bounds = np.zeros(len(cell_bounds), dtype=np.int64)
-    done = 0
-    for lo in range(0, len(cells), _TARGET_BLOCK):
-        # 3 * (cell - lo) + j, ascending, so in gate order
-        bits = np.flatnonzero(touched[lo:lo + _TARGET_BLOCK])
-        cell = bits // 3
-        at = cells[lo:lo + _TARGET_BLOCK].take(cell)
-        entry = at // rows
-        entry -= cell
-        entry *= 3
-        entry += bits  # 3 * (g - cell) + bits = 3g + j
-        np.add(at, shifts.take(entry), out=targets[done:done + len(bits)])
-        done += len(bits)
-        cell += lo
-        bounds += np.searchsorted(cell, cell_bounds)
-    return targets, bounds.tolist()
-
-
-def _draw_errors(rates: np.ndarray, rows: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Draw one chunk's error events for all its gates in three calls.
-
-    Returns the hit cells, each a flat index g * rows + r for row r after
-    gate g, sorted and distinct; a (cells, 3) array of uniform 0/1 flips,
-    of which gate g uses its first arity columns; and the gate bounds:
-    gate g's cells are [bounds[g], bounds[g + 1]).
-
-    Gate g puts Poisson(rows * lam) hits on uniform rows, with
-    lam = -log(1 - p).  Each row then gets an independent Poisson(lam)
-    number of hits and so at least one with probability 1 - e^-lam = p,
-    independently across rows and gates.  A row hit m times would get the
-    XOR of m uniform flip patterns, which is uniform again, so one pattern
-    per distinct cell is the same distribution.  A rate-one gate has an
-    infinite lam and takes every row instead.
-    """
-    gates = rates.size
-    full = rates == 1.0
-    counts = rng.poisson(rows * -np.log1p(-np.where(full, 0.0, rates)))
-    cells = rng.integers(0, rows, size=int(counts.sum()))
-    cells += np.repeat(np.arange(gates) * rows, counts)
-    if full.any():
-        every_row = np.flatnonzero(full)[:, np.newaxis] * rows + np.arange(rows)
-        cells = np.concatenate([cells, every_row.ravel()])
-    cells.sort()
-    cells = cells[np.diff(cells, prepend=-1) != 0]  # first of each run of equal cells
-    raw = rng.bit_generator.random_raw(-(-3 * cells.size // 64))
-    flips = np.unpackbits(raw.view(np.uint8))[:3 * cells.size].reshape(-1, 3)
-    bounds = np.searchsorted(cells, np.arange(gates + 1) * rows).tolist()
-    return cells, flips, bounds
 
 
 # read_value packs each measured row into an int64, so 63 wires at most.

@@ -16,8 +16,7 @@ from typing import Iterator, Sequence
 from .adders import (
     AdderFamily,
     adder_instance,
-    build_adder,
-    build_for_modulus,
+    family_for_modulus,
     make_adder,
 )
 from .circuit import check_readable, from_text, to_text
@@ -32,7 +31,6 @@ from .noise import (
 )
 from .reference import MODULI_ROWS, deviation_flag, moduli_row
 from .reports import ReportDocument, build_table1, build_table2, fmt_prob
-from .resources import resource_report
 from .rns import RnsSet, rns_range
 from .select import (
     DepthSource,
@@ -115,9 +113,8 @@ _RESOURCE_LINES = (
 )
 
 
-def _print_resource_report(circuit) -> None:
-    report = resource_report(circuit)
-    instance = adder_instance(circuit)
+def _print_resource_report(instance) -> None:
+    report = instance.resources
     ref = moduli_row(instance.modulus, instance.family) if instance.modulus else None
     for label, field, ref_field in _RESOURCE_LINES:
         value = getattr(report, field)
@@ -126,15 +123,15 @@ def _print_resource_report(circuit) -> None:
 
 
 def cmd_synth(args) -> int:
-    circuit = build_adder(FAMILY_NAMES[args.family], args.n)
-    text = to_text(circuit)
+    instance = make_adder(FAMILY_NAMES[args.family], args.n)
+    text = to_text(instance.circuit)
     if args.out:
         with _spec_errors("--out", args.out):
             Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-    _print_resource_report(circuit)
+    _print_resource_report(instance)
     return EXIT_OK
 
 
@@ -182,7 +179,7 @@ def _build_run_target(spec: str):
     if path.exists():
         return adder_instance(from_text(path.read_text(encoding="utf-8")))
     if spec.startswith("mod:"):
-        return adder_instance(build_for_modulus(int(spec.split(":", 1)[1])))
+        return make_adder(*family_for_modulus(int(spec.split(":", 1)[1])))
     if ":" in spec:
         name, _, n_text = spec.partition(":")
         if name in FAMILY_NAMES:

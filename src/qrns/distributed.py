@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .adders import AdderFamily, AdderInstance, make_adder
 from .noise import NoiseModel, check_shots, derive_seed, output_probability, run_shots
-from .resources import ResourceReport, resource_report
+from .resources import ResourceReport
 from .rns import (
     ResidueVector,
     RnsSet,
@@ -267,14 +267,14 @@ def gain_report(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
         set_prob = 1.0
         reports = {}
         for modulus, instance in instances.items():
-            reports[modulus] = resource_report(instance.circuit)
+            reports[modulus] = instance.resources
             if modulus not in mod_probs:
                 mod_probs[modulus] = output_probability(
                     instance, noise, shots=shots_mod,
                     seed=derive_seed(seed, "mod", modulus)).mean
             set_prob = min(set_prob, mod_probs[modulus])
         mono = make_adder(AdderFamily.FULL, size - 1)
-        mono_report = resource_report(mono.circuit)
+        mono_report = mono.resources
         if mono_report.qubit_count <= budget:
             mono_prob = output_probability(
                 mono, noise, shots=shots_full,

@@ -7,9 +7,11 @@ Phase errors commute to an unobservable global phase on basis inputs,
 which is why bit flips are the only error channel modeled.  This is a
 deliberate, documented substitute for a hardware-calibrated emulator.
 
-One kernel runs every noisy simulation: the whole (inputs x shots) batch
-goes through ``apply_permutation_batch`` in fixed-size chunks, and only
-the sparse error events are drawn (see its docstring).
+This module owns the error channel.  The whole (inputs x shots) batch
+runs in fixed-size chunks; for each, only the sparse error events are
+drawn (see ``_draw_errors``) and turned into flip targets (see
+``_flip_targets``), which the one gate loop,
+``circuit.apply_permutation_batch``, XORs in after each gate.
 """
 from __future__ import annotations
 
@@ -118,6 +120,86 @@ def check_shots(shots: int) -> None:
         raise ValueError("shots must be below 2^63")
 
 
+# Cells whose flips _flip_targets handles at once.  Its temporaries then
+# stay near 60 KB.  Whole-chunk ones grew the heap past the draw's own
+# peak, and freeing them gave back pages that the next chunk faulted in
+# again: about 100 minor faults, at about 2.4 us each, per 20,000-row
+# mod-63 chunk on a pool thread.
+_TARGET_BLOCK = 2048
+
+
+def _flip_targets(circuit: Circuit, cells: np.ndarray, flips: np.ndarray,
+                  cell_bounds: list[int], rows: int) -> tuple[np.ndarray, list[int]]:
+    """Where the drawn flips land in the flat column buffer, gate by gate.
+
+    Returns ``row + qubit * rows`` for every flip bit that is 1 on a qubit
+    its gate touches, in gate order, and the gate bounds: gate g's targets
+    are [bounds[g], bounds[g + 1]).  A gate's cells are distinct rows and
+    its qubits are distinct, so no target repeats within a gate, as
+    ``apply_permutation_batch`` needs.  ``flips``, 0/1 bytes, is overwritten.
+    """
+    counts = np.diff(cell_bounds)
+    slots = circuit.gate_qubits
+    touched = flips.view(bool)
+    # A gate uses the first arity bits of its cell's flips; drop the rest.
+    touched[:, 1] &= np.repeat(slots[:, 1] >= 0, counts)
+    touched[:, 2] &= np.repeat(slots[:, 2] >= 0, counts)
+    # Cell g * rows + r is row r after gate g.  Bit j of the cell goes to
+    # row r of the gate's j-th qubit q, at q * rows + r: a shift of
+    # (q - g) * rows, entry 3g + j of ``shifts``.
+    shifts = ((slots - np.arange(len(slots))[:, np.newaxis]) * rows).ravel()
+    targets = np.empty(np.count_nonzero(touched), dtype=np.int64)
+    bounds = np.zeros(len(cell_bounds), dtype=np.int64)
+    done = 0
+    for lo in range(0, len(cells), _TARGET_BLOCK):
+        # 3 * (cell - lo) + j, ascending, so in gate order
+        bits = np.flatnonzero(touched[lo:lo + _TARGET_BLOCK])
+        cell = bits // 3
+        at = cells[lo:lo + _TARGET_BLOCK].take(cell)
+        entry = at // rows
+        entry -= cell
+        entry *= 3
+        entry += bits  # 3 * (g - cell) + bits = 3g + j
+        np.add(at, shifts.take(entry), out=targets[done:done + len(bits)])
+        done += len(bits)
+        cell += lo
+        bounds += np.searchsorted(cell, cell_bounds)
+    return targets, bounds.tolist()
+
+
+def _draw_errors(rates: np.ndarray, rows: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Draw one chunk's error events for all its gates in three calls.
+
+    Returns the hit cells, each a flat index g * rows + r for row r after
+    gate g, sorted and distinct; a (cells, 3) array of uniform 0/1 flips,
+    of which gate g uses its first arity columns; and the gate bounds:
+    gate g's cells are [bounds[g], bounds[g + 1]).
+
+    Gate g puts Poisson(rows * lam) hits on uniform rows, with
+    lam = -log(1 - p).  Each row then gets an independent Poisson(lam)
+    number of hits and so at least one with probability 1 - e^-lam = p,
+    independently across rows and gates.  A row hit m times would get the
+    XOR of m uniform flip patterns, which is uniform again, so one pattern
+    per distinct cell is the same distribution.  A rate-one gate has an
+    infinite lam and takes every row instead.
+    """
+    gates = rates.size
+    full = rates == 1.0
+    counts = rng.poisson(rows * -np.log1p(-np.where(full, 0.0, rates)))
+    cells = rng.integers(0, rows, size=int(counts.sum()))
+    cells += np.repeat(np.arange(gates) * rows, counts)
+    if full.any():
+        every_row = np.flatnonzero(full)[:, np.newaxis] * rows + np.arange(rows)
+        cells = np.concatenate([cells, every_row.ravel()])
+    cells.sort()
+    cells = cells[np.diff(cells, prepend=-1) != 0]  # first of each run of equal cells
+    raw = rng.bit_generator.random_raw(-(-3 * cells.size // 64))
+    flips = np.unpackbits(raw.view(np.uint8))[:3 * cells.size].reshape(-1, 3)
+    bounds = np.searchsorted(cells, np.arange(gates + 1) * rows).tolist()
+    return cells, flips, bounds
+
+
 def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
               noise: NoiseModel, seed: int,
               measure: Sequence[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -135,13 +217,15 @@ def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
         stop = min(start + CHUNK_ROWS, total)
         first, last = start // shots, (stop - 1) // shots
         counts = np.diff(np.clip(np.arange(first, last + 2) * shots, start, stop))
+        rows = stop - start
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, chunk)))
-        # Repeating the transposed inputs gives the column-major chunk the
-        # noisy kernel needs in one allocation.  No name holds the states,
-        # so they are freed before the caller runs: the chunk's memory peak
-        # stays inside read_value.
+        # Repeating the transposed inputs gives the column-major chunk that
+        # the flips need in one allocation.  No name holds the states or
+        # the flips, so they are freed before the caller runs: the chunk's
+        # memory peak stays inside read_value.
         yield first, counts, read_value(measure, apply_permutation_batch(
-            circuit, np.repeat(inputs[first:last + 1].T, counts, axis=1).T, rates, rng))
+            circuit, np.repeat(inputs[first:last + 1].T, counts, axis=1).T,
+            _flip_targets(circuit, *_draw_errors(rates, rows, rng), rows)))
 
 
 def run_shots(circuit: Circuit, inputs: np.ndarray, shots: int,

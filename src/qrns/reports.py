@@ -13,7 +13,6 @@ from .adders import make_adder
 from .distributed import FULL_SHOTS, MOD_SHOTS, gain_report
 from .noise import NoiseModel, derive_seed, output_probability
 from .reference import MODULI_ROWS, comparison_row, deviation_flag
-from .resources import resource_report
 from .rns import efficiency_percent
 from .select import DepthSource
 
@@ -98,7 +97,7 @@ def build_table1(noise: NoiseModel, shots: int, seed: int) -> ReportDocument:
     rows = []
     for ref in MODULI_ROWS:
         instance = make_adder(ref.family, ref.n)
-        report = resource_report(instance.circuit)
+        report = instance.resources
         estimate = output_probability(
             instance, noise, shots=shots,
             seed=derive_seed(seed, "table1", ref.modulus, ref.family.value),

@@ -22,9 +22,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .adders import build_for_modulus, family_for_modulus
+from .adders import family_for_modulus, make_adder
 from .reference import moduli_row
-from .resources import resource_report
 from .rns import RANGE_LIMIT, RnsSet
 
 # Largest moduli count the selector tries before giving up.
@@ -57,7 +56,7 @@ def moduli_pool(max_n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _built_depth(modulus: int, force_pow2m1_for_3: bool) -> int:
-    return resource_report(build_for_modulus(modulus, force_pow2m1_for_3)).toffoli_depth
+    return make_adder(*family_for_modulus(modulus, force_pow2m1_for_3)).resources.toffoli_depth
 
 
 def toffoli_depth_of(modulus: int, source: DepthSource,

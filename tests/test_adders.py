@@ -11,7 +11,6 @@ from qrns.adders import (
     build_mod_pow2,
     build_mod_pow2_minus1,
     build_qdma,
-    classical_mod_add,
     dim1_decode,
     dim1_encode,
     family_for_modulus,
@@ -31,32 +30,6 @@ from qrns.resources import resource_report
 def wire_value(row, wires):
     """The little-endian integer on ``wires`` of one state row."""
     return sum(int(row[w]) << i for i, w in enumerate(wires))
-
-
-# --- classical oracle -------------------------------------------------------
-
-@pytest.mark.parametrize("a,b,m,expected", [
-    (4, 7, 9, 2),
-    (2, 1, 3, 0),   # a+b equal to the modulus
-    (0, 0, 5, 0),
-    (6, 6, 7, 5),
-])
-def test_classical_mod_add(a, b, m, expected):
-    assert classical_mod_add(a, b, m) == expected
-
-
-def test_classical_mod_add_matches_native_mod_everywhere():
-    for m in (2, 3, 5, 9):
-        for a in range(m):
-            for b in range(m):
-                assert classical_mod_add(a, b, m) == (a + b) % m
-
-
-def test_classical_mod_add_rejects_oversized_inputs():
-    with pytest.raises(ValueError):
-        classical_mod_add(3, 0, 3)
-    with pytest.raises(ValueError):
-        classical_mod_add(0, 5, 5)
 
 
 # --- diminished-1 codec -----------------------------------------------------

@@ -6,22 +6,25 @@ import numpy as np
 import pytest
 
 from qrns.adders import AdderFamily, make_adder
-from qrns.circuit import (
-    Circuit,
-    GateKind,
-    _draw_errors,
-    apply_permutation_batch,
-    ccx,
-    cx,
-    x,
-)
+from qrns.circuit import Circuit, GateKind, apply_permutation_batch, ccx, cx, x
 from qrns.noise import (
     CHUNK_ROWS,
     DEFAULT_NOISE,
     NoiseModel,
+    _draw_errors,
+    _flip_targets,
     output_probability,
     run_shots,
 )
+
+
+def noisy_chunk(circuit, states, rates, rng):
+    """One chunk as the noise side runs it: draw the events, turn them
+    into the flip list, and run the gate loop with it."""
+    rows = states.shape[0]
+    flips = _flip_targets(circuit, *_draw_errors(np.asarray(rates, dtype=float), rows, rng),
+                          rows)
+    return apply_permutation_batch(circuit, states, flips)
 
 
 def exact_output_probability(instance, noise):
@@ -108,8 +111,7 @@ def test_every_row_fires_at_rate_one():
     assert abs(estimate.mean - exact) <= 4 * math.sqrt(0.25 / (pairs * shots))
     # A rate-one NOT fires on every row and flips its qubit in about half.
     states = np.zeros((CHUNK_ROWS, 1), dtype=np.uint8)
-    apply_permutation_batch(Circuit(1, (x(0),)), states, [1.0],
-                            np.random.default_rng(2))
+    noisy_chunk(Circuit(1, (x(0),)), states, [1.0], np.random.default_rng(2))
     assert abs(states.mean() - 0.5) <= 4 * math.sqrt(0.25 / CHUNK_ROWS)
 
 
@@ -127,11 +129,10 @@ def test_noisy_call_without_events_only_applies_the_gates():
     rows = instance.input_states(list(instance.legal_pairs()))
     columns = np.asfortranarray(rows)
     apply_permutation_batch(instance.circuit, rows)
-    apply_permutation_batch(instance.circuit, columns, rates, np.random.default_rng(0))
+    noisy_chunk(instance.circuit, columns, rates, np.random.default_rng(0))
     assert np.array_equal(rows, columns)
     empty = np.zeros((0, instance.circuit.width), dtype=np.uint8)
-    apply_permutation_batch(instance.circuit, empty, [0.5] * len(rates),
-                            np.random.default_rng(0))
+    noisy_chunk(instance.circuit, empty, [0.5] * len(rates), np.random.default_rng(0))
     assert empty.shape == (0, instance.circuit.width)
 
 
@@ -155,23 +156,6 @@ def test_pairs_spanning_several_chunks_repeat_bit_identically():
     second = output_probability(instance, DEFAULT_NOISE, shots=shots, seed=5)
     assert first == second
     assert len(first.per_pair) == 256
-
-
-def test_error_rates_need_one_rate_per_gate_and_an_rng():
-    circuit = Circuit(2, (cx(0, 1), x(0)))
-    states = np.zeros((4, 2), dtype=np.uint8)
-    with pytest.raises(ValueError, match="one rate per gate"):
-        apply_permutation_batch(circuit, states, [0.1], np.random.default_rng(0))
-    with pytest.raises(ValueError, match="one rate per gate"):
-        apply_permutation_batch(circuit, states, [0.1, 0.1])
-
-
-@pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
-def test_error_rates_outside_zero_to_one_are_refused(rate):
-    states = np.zeros((4, 2), dtype=np.uint8, order="F")
-    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-        apply_permutation_batch(Circuit(2, (cx(0, 1), x(0))), states, [0.1, rate],
-                                np.random.default_rng(0))
 
 
 # Golden values of the sampling kernel: any change to the draws, their
@@ -264,8 +248,7 @@ def test_flip_targets_match_per_gate_flips(case):
     rates = rng.choice([0.0, 1.0, 0.02, 0.3, 0.7], size=len(circuit.gates))
     start = np.asfortranarray(rng.integers(0, 2, size=(rows, width), dtype=np.uint8))
     seed = int(rng.integers(2**32))
-    got = apply_permutation_batch(circuit, start.copy(order="F"), rates,
-                                  np.random.default_rng(seed))
+    got = noisy_chunk(circuit, start.copy(order="F"), rates, np.random.default_rng(seed))
     want = per_gate_flips(circuit, start.copy(order="F"), rates,
                           np.random.default_rng(seed))
     assert np.array_equal(got, want)
@@ -275,7 +258,7 @@ def test_noisy_call_needs_column_major_states():
     circuit = Circuit(2, (cx(0, 1),))
     states = np.zeros((4, 2), dtype=np.uint8)
     with pytest.raises(ValueError, match="column-major"):
-        apply_permutation_batch(circuit, states, [0.5], np.random.default_rng(0))
+        apply_permutation_batch(circuit, states, (np.zeros(0, dtype=np.int64), [0, 0]))
 
 
 def test_noiseless_kernel_ignores_the_memory_layout():

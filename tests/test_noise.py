@@ -22,6 +22,8 @@ def test_noise_model_validation():
         NoiseModel(p_cnot=1.5)
     with pytest.raises(ValueError):
         NoiseModel(p_not=-0.1)
+    with pytest.raises(ValueError):
+        NoiseModel(p_toffoli=float("nan"))
 
 
 def test_noise_model_file_round_trip(tmp_path):
