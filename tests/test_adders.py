@@ -388,6 +388,16 @@ def test_make_adder_returns_one_shared_instance():
     assert make_adder(AdderFamily.FULL, 3) is not make_adder(AdderFamily.MOD_POW2, 3)
 
 
+@pytest.mark.parametrize("family,n", [
+    (AdderFamily.FULL, 3), (AdderFamily.MOD_POW2, 3),
+    (AdderFamily.MOD_POW2_MINUS1, 3), (AdderFamily.MOD_POW2_PLUS1, 3),
+])
+def test_resources_are_the_circuits_report_cached_on_the_shared_instance(family, n):
+    instance = make_adder(family, n)
+    assert instance.resources == resource_report(build_adder(family, n))
+    assert make_adder(family, n).resources is instance.resources
+
+
 @pytest.mark.parametrize("family,n,pair", [
     (AdderFamily.MOD_POW2, 2, (9, 0)), (AdderFamily.MOD_POW2, 2, (0, 4)),
     (AdderFamily.MOD_POW2, 2, (-1, 0)), (AdderFamily.FULL, 3, (9, 0)),

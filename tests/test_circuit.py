@@ -116,6 +116,15 @@ def test_builders_are_injective_on_all_basis_states(circuit):
     assert len(np.unique(packed)) == count
 
 
+def test_gate_qubits_pads_with_minus_one_and_is_read_only():
+    circuit = Circuit(3, (x(2), cx(0, 1), ccx(0, 1, 2)))
+    table = circuit.gate_qubits
+    assert table.tolist() == [[2, -1, -1], [0, 1, -1], [0, 1, 2]]
+    assert circuit.gate_qubits is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
 def test_empty_circuit_report_is_zero():
     report = resource_report(Circuit(3))
     assert (report.toffoli_count, report.cnot_count, report.not_count) == (0, 0, 0)

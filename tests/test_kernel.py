@@ -261,6 +261,25 @@ def test_noisy_call_needs_column_major_states():
         apply_permutation_batch(circuit, states, (np.zeros(0, dtype=np.int64), [0, 0]))
 
 
+# x(0) then cx(0, 1) on two rows from 00 ends at 11.  One flip on row 1
+# after gate 0 runs through the CNOT; after gate 1 it lands on the output.
+@pytest.mark.parametrize("gate,qubit,row1", [
+    (0, 0, [0, 0]),
+    (0, 1, [1, 0]),
+    (1, 0, [0, 1]),
+    (1, 1, [1, 0]),
+])
+def test_a_flip_lands_after_its_gate_on_its_row_and_qubit(gate, qubit, row1):
+    circuit = Circuit(2, (x(0), cx(0, 1)))
+    states = np.zeros((2, 2), dtype=np.uint8, order="F")
+    bounds = [0, 0, 0]
+    bounds[gate + 1:] = [1] * (2 - gate)
+    targets = np.array([qubit * 2 + 1], dtype=np.int64)  # row 1 of the qubit's column
+    apply_permutation_batch(circuit, states, (targets, bounds))
+    assert states[0].tolist() == [1, 1]
+    assert states[1].tolist() == row1
+
+
 def test_noiseless_kernel_ignores_the_memory_layout():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
     rows = instance.input_states(list(instance.legal_pairs()))

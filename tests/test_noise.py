@@ -26,6 +26,12 @@ def test_noise_model_validation():
         NoiseModel(p_toffoli=float("nan"))
 
 
+@pytest.mark.parametrize("field", ["p_not", "p_cnot", "p_toffoli"])
+def test_every_rate_refuses_nan(field):
+    with pytest.raises(ValueError, match=rf"{field} must be in \[0, 1\]"):
+        NoiseModel(**{field: float("nan")})
+
+
 def test_noise_model_file_round_trip(tmp_path):
     path = tmp_path / "noise.txt"
     DEFAULT_NOISE.to_file(str(path))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qrns.adders import build_adder, family_for_modulus
+from qrns.resources import resource_report
 from qrns.rns import RANGE_LIMIT, RnsSet, rns_range
 from qrns.select import (
     C_CEILING,
@@ -38,6 +40,15 @@ def test_default_pool():
 @pytest.mark.parametrize("k,expected", sorted(GOLDEN_SETS.items()))
 def test_reference_selections(k, expected):
     assert select_rns(SelectorConfig(k=k)).moduli == expected
+
+
+@pytest.mark.parametrize("modulus,force", [
+    (3, False), (3, True), (7, False), (8, False), (9, False),
+])
+def test_built_depth_is_the_built_adders_toffoli_depth(modulus, force):
+    circuit = build_adder(*family_for_modulus(modulus, force))
+    assert toffoli_depth_of(modulus, DepthSource.BUILT, force) == \
+        resource_report(circuit).toffoli_depth
 
 
 def test_full_efficiency_selection():
