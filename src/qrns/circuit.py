@@ -203,22 +203,33 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
             raise ValueError("states with flips must be column-major (F-contiguous)")
         columns = states.T.reshape(-1)  # a view: qubit q is [q * count, (q + 1) * count)
         targets, bounds = flips
+    # One view per qubit, bound once, so that each gate is one ufunc call
+    # writing in place (a Toffoli two, through one reused scratch column)
+    # rather than new views and a temporary per gate.  The ufuncs take out
+    # as their third argument, and the constant 1 as a 0-d array, which
+    # numpy converts faster than a Python int.
+    wire = list(states.T)
+    scratch = np.empty(states.shape[0], dtype=states.dtype)
+    one = np.ones((), dtype=states.dtype)
     for g, gate in enumerate(circuit.gates):
         q = gate.qubits
-        if gate.kind is GateKind.NOT:
-            states[:, q[0]] ^= 1
-        elif gate.kind is GateKind.CNOT:
-            states[:, q[1]] ^= states[:, q[0]]
-        else:
-            states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]
+        if len(q) == 1:  # NOT
+            np.bitwise_xor(wire[q[0]], one, wire[q[0]])
+        elif len(q) == 2:  # CNOT
+            np.bitwise_xor(wire[q[1]], wire[q[0]], wire[q[1]])
+        else:  # Toffoli
+            np.bitwise_and(wire[q[0]], wire[q[1]], scratch)
+            np.bitwise_xor(wire[q[2]], scratch, wire[q[2]])
         lo, hi = bounds[g], bounds[g + 1]
         if lo < hi:
             # Distinct targets, so the buffered ^= loses no flip.
-            columns[targets[lo:hi]] ^= 1
+            columns[targets[lo:hi]] ^= one
     return states
 
 
-# read_value packs each measured row into an int64, so 63 wires at most.
+# read_value returns each row's value in the narrowest unsigned dtype that
+# holds 2^k - 1 for k wires.  63 wires at most keeps every value below
+# 2^63, inside the int64 that operands and oracle codes are computed in.
 MAX_READ_WIRES = 63
 
 
@@ -228,12 +239,21 @@ def check_readable(wires: Sequence[int]) -> None:
                          f"{MAX_READ_WIRES} that fit a signed 64-bit value")
 
 
+def read_dtype(wires: Sequence[int]) -> np.dtype:
+    """The dtype of ``read_value`` on ``wires``: the narrowest unsigned one
+    that holds every value of len(wires) bits."""
+    return np.min_scalar_type(2**len(wires) - 1)
+
+
 def read_value(wires: Sequence[int], state: np.ndarray) -> np.ndarray:
-    """Read the little-endian integer on ``wires`` from each row of ``state``."""
+    """Read the little-endian integer on ``wires`` from each row of
+    ``state``, as an array of ``read_dtype(wires)``."""
     check_readable(wires)
-    out = np.zeros(state.shape[0], dtype=np.int64)
+    out = np.zeros(state.shape[0], dtype=read_dtype(wires))
+    shifted = np.empty_like(out)
     for i, w in enumerate(wires):
-        out |= np.left_shift(state[:, w], i, dtype=np.int64)
+        np.left_shift(state[:, w], i, out=shifted, dtype=out.dtype)
+        out |= shifted
     return out
 
 

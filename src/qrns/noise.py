@@ -29,6 +29,7 @@ from .circuit import (
     GateKind,
     apply_permutation_batch,
     check_readable,
+    read_dtype,
     read_value,
 )
 
@@ -115,7 +116,7 @@ def derive_seed(*parts: int | str) -> int:
 def check_shots(shots: int) -> None:
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    # _simulate multiplies int64 row indices by the shot count.
+    # _simulate keeps per-input shot counts in an int64 array.
     if shots >= 2**63:
         raise ValueError("shots must be below 2^63")
 
@@ -138,7 +139,8 @@ def _flip_targets(circuit: Circuit, cells: np.ndarray, flips: np.ndarray,
     its qubits are distinct, so no target repeats within a gate, as
     ``apply_permutation_batch`` needs.  ``flips``, 0/1 bytes, is overwritten.
     """
-    counts = np.diff(cell_bounds)
+    keys = np.asarray(cell_bounds)  # converted once, not per block
+    counts = np.diff(keys)
     slots = circuit.gate_qubits
     touched = flips.view(bool)
     # A gate uses the first arity bits of its cell's flips; drop the rest.
@@ -148,22 +150,25 @@ def _flip_targets(circuit: Circuit, cells: np.ndarray, flips: np.ndarray,
     # row r of the gate's j-th qubit q, at q * rows + r: a shift of
     # (q - g) * rows, entry 3g + j of ``shifts``.
     shifts = ((slots - np.arange(len(slots))[:, np.newaxis]) * rows).ravel()
-    targets = np.empty(np.count_nonzero(touched), dtype=np.int64)
-    bounds = np.zeros(len(cell_bounds), dtype=np.int64)
+    # The gate loop indexes with the targets, and an index array of any
+    # other dtype than intp is converted on every use, so the block
+    # arithmetic is in intp whatever the dtype of the cells.
+    targets = np.empty(np.count_nonzero(touched), dtype=np.intp)
+    bounds = np.zeros(len(keys), dtype=np.intp)
     done = 0
     for lo in range(0, len(cells), _TARGET_BLOCK):
         # 3 * (cell - lo) + j, ascending, so in gate order
         bits = np.flatnonzero(touched[lo:lo + _TARGET_BLOCK])
         cell = bits // 3
         at = cells[lo:lo + _TARGET_BLOCK].take(cell)
-        entry = at // rows
+        entry = np.floor_divide(at, rows, dtype=np.intp)
         entry -= cell
         entry *= 3
         entry += bits  # 3 * (g - cell) + bits = 3g + j
         np.add(at, shifts.take(entry), out=targets[done:done + len(bits)])
         done += len(bits)
         cell += lo
-        bounds += np.searchsorted(cell, cell_bounds)
+        bounds += np.searchsorted(cell, keys)
     return targets, bounds.tolist()
 
 
@@ -172,9 +177,10 @@ def _draw_errors(rates: np.ndarray, rows: int,
     """Draw one chunk's error events for all its gates in three calls.
 
     Returns the hit cells, each a flat index g * rows + r for row r after
-    gate g, sorted and distinct; a (cells, 3) array of uniform 0/1 flips,
-    of which gate g uses its first arity columns; and the gate bounds:
-    gate g's cells are [bounds[g], bounds[g + 1]).
+    gate g, sorted and distinct, int32 when gates * rows < 2^31 and int64
+    otherwise; a (cells, 3) array of uniform 0/1 flips, of which gate g
+    uses its first arity columns; and the gate bounds: gate g's cells are
+    [bounds[g], bounds[g + 1]).
 
     Gate g puts Poisson(rows * lam) hits on uniform rows, with
     lam = -log(1 - p).  Each row then gets an independent Poisson(lam)
@@ -185,18 +191,27 @@ def _draw_errors(rates: np.ndarray, rows: int,
     infinite lam and takes every row instead.
     """
     gates = rates.size
+    # Half the bytes sort twice as fast; more than 2^31 cells (65,536
+    # gates at CHUNK_ROWS rows) need int64.
+    index = np.int32 if gates * rows < 2**31 else np.int64
     full = rates == 1.0
     counts = rng.poisson(rows * -np.log1p(-np.where(full, 0.0, rates)))
-    cells = rng.integers(0, rows, size=int(counts.sum()))
-    cells += np.repeat(np.arange(gates) * rows, counts)
+    # Drawn as int64 and cast after, so the stream is the same in both dtypes.
+    cells = rng.integers(0, rows, size=int(counts.sum())).astype(index)
+    starts = np.arange(gates, dtype=index) * rows
+    cells += np.repeat(starts, counts)
     if full.any():
-        every_row = np.flatnonzero(full)[:, np.newaxis] * rows + np.arange(rows)
+        every_row = starts[full][:, np.newaxis] + np.arange(rows, dtype=index)
         cells = np.concatenate([cells, every_row.ravel()])
     cells.sort()
-    cells = cells[np.diff(cells, prepend=-1) != 0]  # first of each run of equal cells
+    # Keep the first of each run of equal cells.
+    first = np.ones(cells.size, dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    cells = cells[first]
     raw = rng.bit_generator.random_raw(-(-3 * cells.size // 64))
     flips = np.unpackbits(raw.view(np.uint8))[:3 * cells.size].reshape(-1, 3)
-    bounds = np.searchsorted(cells, np.arange(gates + 1) * rows).tolist()
+    bounds = np.searchsorted(cells, starts).tolist()
+    bounds.append(cells.size)
     return cells, flips, bounds
 
 
@@ -216,7 +231,11 @@ def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
     for chunk, start in enumerate(range(0, total, CHUNK_ROWS)):
         stop = min(start + CHUNK_ROWS, total)
         first, last = start // shots, (stop - 1) // shots
-        counts = np.diff(np.clip(np.arange(first, last + 2) * shots, start, stop))
+        # Every input has all its shots here but the first and last, which
+        # the chunk's edges may cut.
+        counts = np.full(last - first + 1, shots, dtype=np.int64)
+        counts[0] -= start - first * shots
+        counts[-1] -= (last + 1) * shots - stop
         rows = stop - start
         rng = np.random.Generator(np.random.PCG64(derive_seed(seed, chunk)))
         # Repeating the transposed inputs gives the column-major chunk that
@@ -306,13 +325,19 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
     random above), or an explicit random pair count.
     """
     check_shots(shots)
-    check_readable(instance.output_wires)
+    wires = instance.output_wires
+    check_readable(wires)
     pairs = instance.operand_array(_input_pairs(instance, sampling, seed))
-    expected = np.asarray(instance.expected_output_bits(pairs[:, 0], pairs[:, 1]),
-                          dtype=np.int64)
+    expected = np.asarray(instance.expected_output_bits(pairs[:, 0], pairs[:, 1]))
+    # The measured values come in read_dtype(wires); an expected code that
+    # does not fit the output wires would wrap in it and could match.
+    if expected.size and (expected.min() < 0 or expected.max() >= 2**len(wires)):
+        raise ValueError(f"expected output codes do not fit the "
+                         f"{len(wires)} output wires")
+    expected = expected.astype(read_dtype(wires))
     hits = np.zeros(len(pairs), dtype=np.int64)
     for first, counts, values in _simulate(instance.circuit, instance.input_states(pairs),
-                                           shots, noise, seed, instance.output_wires):
+                                           shots, noise, seed, wires):
         span = slice(first, first + len(counts))
         correct = values == np.repeat(expected[span], counts)
         hits[span] += np.add.reduceat(correct, np.cumsum(counts) - counts, dtype=np.int64)

@@ -7,11 +7,8 @@ import math
 import time
 from fractions import Fraction
 
-import pytest
-
 from qrns.adders import (
     AdderFamily,
-    adder_instance,
     build_adder,
     build_full_adder,
     build_mod_pow2,
@@ -30,7 +27,7 @@ from qrns.rns import (
     rns_efficiency,
     rns_range,
 )
-from qrns.select import DepthSource, SelectorConfig, select_rns
+from qrns.select import SelectorConfig, select_rns
 
 SEED = 20240811
 

@@ -21,7 +21,6 @@ from qrns.circuit import (
     GateKind,
     apply_permutation_batch,
     from_text,
-    read_value,
     to_text,
 )
 from qrns.resources import resource_report

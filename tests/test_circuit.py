@@ -306,6 +306,16 @@ def test_from_text_raises_only_value_error(text):
         pass
 
 
+@pytest.mark.parametrize("wires,dtype", [
+    (1, np.uint8), (8, np.uint8), (9, np.uint16), (33, np.uint64), (63, np.uint64),
+])
+def test_read_value_is_as_narrow_as_its_wires(wires, dtype):
+    state = np.ones((3, MAX_READ_WIRES), dtype=np.uint8)
+    values = read_value(range(wires), state)
+    assert values.dtype == dtype
+    assert values.tolist() == [2**wires - 1] * 3
+
+
 def test_read_value_refuses_more_than_63_wires():
     state = np.ones((1, MAX_READ_WIRES + 1), dtype=np.uint8)
     assert read_value(range(MAX_READ_WIRES), state)[0] == 2**MAX_READ_WIRES - 1

@@ -2,7 +2,6 @@ import dataclasses
 
 import pytest
 
-from qrns.adders import AdderFamily, make_adder
 from qrns.distributed import (
     RangeOverflowError,
     SimulationError,

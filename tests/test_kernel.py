@@ -252,6 +252,27 @@ def test_flip_targets_match_per_gate_flips(case):
     want = per_gate_flips(circuit, start.copy(order="F"), rates,
                           np.random.default_rng(seed))
     assert np.array_equal(got, want)
+    cells, _, _ = _draw_errors(rates, rows, np.random.default_rng(seed))
+    assert cells.dtype == np.int32
+
+
+def test_a_chunk_past_2_31_cells_indexes_in_int64():
+    # 65,540 gates at CHUNK_ROWS rows: the cells of the last gates lie past
+    # 2^31, so the draw must keep them in int64.  Only the last four gates
+    # (a NOT, a CNOT, a Toffoli and a CNOT) have errors.
+    rows = CHUNK_ROWS
+    gate_count = 2**31 // rows + 4
+    circuit = Circuit(3, (x(0), cx(0, 1), ccx(0, 1, 2), cx(2, 0)) * (gate_count // 4))
+    rates = np.zeros(gate_count)
+    rates[-4:] = [0.3, 1.0, 0.3, 0.02]
+    cells, _, _ = _draw_errors(rates, rows, np.random.default_rng(8))
+    assert cells.dtype == np.int64
+    assert cells.min() >= 2**31
+    start = np.asfortranarray(np.random.default_rng(9).integers(0, 2, size=(rows, 3),
+                                                                 dtype=np.uint8))
+    got = noisy_chunk(circuit, start.copy(order="F"), rates, np.random.default_rng(8))
+    want = per_gate_flips(circuit, start.copy(order="F"), rates, np.random.default_rng(8))
+    assert np.array_equal(got, want)
 
 
 def test_noisy_call_needs_column_major_states():

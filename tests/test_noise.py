@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -70,6 +71,17 @@ def test_run_exact_qdma_example():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
     state = apply_permutation_batch(instance.circuit, instance.input_states([(4, 7)]))
     assert read_value(instance.output_wires, state)[0] == dim1_encode(2, 3)
+
+
+def test_expected_codes_wider_than_the_output_wires_raise():
+    # mod-pow2:8 adds mod 2^8 on 8 output wires.  Labelled as the full
+    # adder, its oracle asks for a + b, up to 510.  Cast to the uint8 of
+    # the measured values, a sum of 256 + s would wrap to s and match every
+    # noiseless shot.
+    narrow = dataclasses.replace(make_adder(AdderFamily.MOD_POW2, 8),
+                                 family=AdderFamily.FULL)
+    with pytest.raises(ValueError, match="do not fit the 8 output wires"):
+        output_probability(narrow, NoiseModel.zero(), shots=1, seed=0, sampling=64)
 
 
 def test_run_exact_mod4_zero():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qrns.adders import build_adder, family_for_modulus
 from qrns.resources import resource_report
-from qrns.rns import RANGE_LIMIT, RnsSet, rns_range
+from qrns.rns import RANGE_LIMIT, rns_range
 from qrns.select import (
     C_CEILING,
     Candidate,
