@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -432,10 +433,22 @@ class AdderInstance:
         """
         count = self.value_count
         message = f"operands must lie in [0, {count})"
+        dtype = np.int64 if count <= 2**62 else object
+        malformed = "each operand pair must be two integers"
         try:
-            operands = np.array(pairs, dtype=np.int64 if count <= 2**62 else object)
+            if isinstance(pairs, np.ndarray):
+                operands = np.array(pairs, dtype=dtype)
+            elif {*map(len, pairs)} <= {2}:
+                # One fromiter over the flattened pairs skips np.array's
+                # nested-sequence discovery; the length test keeps the one
+                # check of it that flattening would lose.
+                operands = np.fromiter(chain.from_iterable(pairs), dtype, 2 * len(pairs))
+            else:
+                raise ValueError(malformed)
         except OverflowError:  # an operand beyond int64
             raise ValueError(message) from None
+        except TypeError:  # a pair without a length, or an operand of no number type
+            raise ValueError(malformed) from None
         if operands.size and (operands.min() < 0 or operands.max() >= count):
             raise ValueError(message)
         return operands.reshape(len(pairs), 2)
@@ -445,14 +458,15 @@ class AdderInstance:
         wires and every other wire at zero.
 
         This is the one operand packer: every noiseless and noisy run
-        starts from its rows.  Operands outside [0, value_count) raise
-        ValueError.
+        starts from its rows.  The (pairs, width) array is column-major
+        (F-contiguous), so each wire's column is contiguous for the gate
+        loop.  Operands outside [0, value_count) raise ValueError.
         """
         codes = self.encode_operand(self.operand_array(pairs))
-        states = np.zeros((len(codes), self.circuit.width), dtype=np.uint8)
+        columns = np.zeros((self.circuit.width, len(codes)), dtype=np.uint8)
         for wires, column in zip((self.a_wires, self.b_wires), codes.T):
-            states[:, wires] = (column[:, np.newaxis] >> np.arange(len(wires))) & 1
-        return states
+            columns[wires, :] = (column >> np.arange(len(wires))[:, np.newaxis]) & 1
+        return columns.T
 
     def legal_pairs(self) -> Iterator[tuple[int, int]]:
         count = self.value_count

@@ -152,9 +152,14 @@ def _violations(circuit: Circuit) -> list[str]:
         if not _is_one_line(value):
             errors.append(f"meta {key!r}: value {value!r} is not one trimmed line")
     seen: dict[int, str] = {}
+    names: set[str] = set()
     for reg in circuit.registers:
         if not reg.name or _has_space(reg.name):
             errors.append(f"register name {reg.name!r} is empty or holds whitespace")
+        if reg.name in names:
+            # register() would find only the first of them.
+            errors.append(f"register name {reg.name!r} is used twice")
+        names.add(reg.name)
         if not reg.qubits:
             errors.append(f"register {reg.name}: no qubits")
         for q in reg.qubits:
@@ -323,8 +328,16 @@ def from_text(text: str) -> Circuit:
     registers: list[Register] = []
     gates: list[Gate] = []
     kinds = {k.value: k for k in GateKind}
+    # Each distinct gate line is parsed once: an adder's uncompute half
+    # repeats its compute half's lines, and a Gate is immutable, so a
+    # repeat appends the same object.  The memo lives for this call only.
+    parsed: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        gate = parsed.get(line)
+        if gate is not None:
+            gates.append(gate)
+            continue
         if not line:
             continue
         if line.startswith("#"):
@@ -337,8 +350,14 @@ def from_text(text: str) -> Circuit:
             continue
         fields = line.split()
         try:
-            if fields[0] == "qubits":
+            kind = kinds.get(fields[0])
+            if kind is not None:  # almost every line is a gate
+                gate = parsed[line] = Gate(kind, tuple(map(int, fields[1:])))
+                gates.append(gate)
+            elif fields[0] == "qubits":
                 _check_field_count(fields, 1, 1)
+                if width >= 0:
+                    raise ValueError(f"second 'qubits' header (the first gave {width})")
                 width = int(fields[1])
                 if width < 0:
                     raise ValueError(f"qubit count must be >= 0, got {width}")
@@ -346,8 +365,6 @@ def from_text(text: str) -> Circuit:
                 _check_field_count(fields, 2, 3)
                 tags = frozenset(fields[3].split(",")) if len(fields) > 3 else frozenset()
                 registers.append(Register(fields[1], _parse_span(fields[2]), tags))
-            elif fields[0] in kinds:
-                gates.append(Gate(kinds[fields[0]], tuple(int(q) for q in fields[1:])))
             else:
                 raise ValueError(f"cannot parse {raw!r}")
         except ValueError as exc:

@@ -30,11 +30,12 @@ def resource_report(circuit: Circuit) -> ResourceReport:
     is the largest of them at the end.
     """
     every, toffolis, cnots = ([0] * circuit.width for _ in range(3))
-    schedules = {GateKind.NOT: (every,), GateKind.CNOT: (every, cnots),
-                 GateKind.TOFFOLI: (every, toffolis)}
+    # A gate's arity names its kind (Gate checks it), and a tuple index by
+    # arity is cheaper than a dict lookup by GateKind, which hashes the enum.
+    schedules = (None, (every,), (every, cnots), (every, toffolis))
     for gate in circuit.gates:
         qubits = gate.qubits
-        for layers in schedules[gate.kind]:
+        for layers in schedules[len(qubits)]:
             layer = 1 + max(map(layers.__getitem__, qubits))
             for q in qubits:
                 layers[q] = layer

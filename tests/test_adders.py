@@ -363,7 +363,16 @@ def test_array_codec_matches_the_per_value_reference(family, n):
     operands = instance.operand_array(pairs)
     # Python ints wherever an operand sum may not fit int64.
     assert operands.dtype == (object if count > 2**62 else np.int64)
-    assert np.array_equal(instance.input_states(pairs), _reference_states(instance, pairs))
+    states = instance.input_states(pairs)
+    assert np.array_equal(states, _reference_states(instance, pairs))
+    # Column-major, so that each wire is contiguous for the gate loop, and
+    # the same states from a list of pairs as from their array.
+    assert states.flags.f_contiguous
+    assert np.array_equal(instance.input_states(operands), states)
+    # The last holds four values, as two pairs would, in the wrong shape.
+    for malformed in [[(0, 0), (1, 0, 0)], [(0, 0), (1,)], [(0, 0), 1], [(0, 0, 0), (0,)]]:
+        with pytest.raises(ValueError):
+            instance.input_states(malformed)
     expected = instance.expected_output_bits(operands[:, 0], operands[:, 1])
     modulus = instance.modulus
     assert [int(v) for v in expected] == [

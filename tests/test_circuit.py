@@ -219,10 +219,38 @@ def test_from_text_rejects_garbage():
     ("qubits 3\nreg A 0 bogus\n", "line 2: unknown register tags"),
     ("qubits 3\n\n# note\nccx 0 1\n", "line 4: TOFFOLI takes 3 qubits"),
     ("qubits 3\ncx 0 q\n", "line 2: invalid literal"),
+    ("qubits 4\nqubits 2\ncx 0 1\n", "line 2: second 'qubits' header"),
 ])
 def test_from_text_names_the_malformed_line(text, message):
     with pytest.raises(ValueError, match=message):
         from_text(text)
+
+
+def test_repeated_gate_lines_parse_like_gates_built_one_by_one():
+    gates = (ccx(0, 1, 2), cx(0, 1), x(3), cx(0, 1), ccx(0, 1, 2), x(3), cx(1, 0))
+    text = "qubits 4\n" + "".join(
+        " ".join([g.kind.value, *map(str, g.qubits)]) + "\n" for g in gates)
+    assert from_text(text) == Circuit(4, gates)
+    # Spacing is not part of a gate: "cx  0 1" is the same CNOT.
+    assert from_text("qubits 2\ncx 0 1\n  cx  0 1\n").gates == (cx(0, 1), cx(0, 1))
+
+
+def test_a_repeated_malformed_gate_line_names_its_first_occurrence():
+    with pytest.raises(ValueError, match="^line 3: TOFFOLI takes 3 qubits"):
+        from_text("qubits 3\ncx 0 1\nccx 0 1\ncx 0 1\nccx 0 1\n")
+
+
+def test_register_names_must_be_unique():
+    # register("B") would return the first B, and an adder would lose the
+    # second one's wires.
+    with pytest.raises(CircuitValidationError) as excinfo:
+        from_text("qubits 4\nreg B 0..1 input,output\nreg B 2..3 input\n")
+    assert excinfo.value.errors == ["register name 'B' is used twice"]
+    errors = _violations(3, (cx(0, 5),), (
+        Register("B", (0,)), Register("A", (1,)), Register("B", (2,)),
+    ))
+    assert errors == ["gate 0 (cx): qubit 5 out of range for width 3",
+                      "register name 'B' is used twice"]
 
 
 _NAMES = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789", min_size=1,

@@ -303,9 +303,10 @@ def test_a_flip_lands_after_its_gate_on_its_row_and_qubit(gate, qubit, row1):
 
 def test_noiseless_kernel_ignores_the_memory_layout():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
-    rows = instance.input_states(list(instance.legal_pairs()))
-    columns = np.asfortranarray(rows)
+    columns = instance.input_states(list(instance.legal_pairs()))
+    rows = np.ascontiguousarray(columns)
     assert rows.flags.c_contiguous and not rows.flags.f_contiguous
+    assert columns.flags.f_contiguous and not columns.flags.c_contiguous
     apply_permutation_batch(instance.circuit, rows)
     apply_permutation_batch(instance.circuit, columns)
     assert np.array_equal(rows, columns)
