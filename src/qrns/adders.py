@@ -445,12 +445,14 @@ class AdderInstance:
                 operands = np.fromiter(chain.from_iterable(pairs), dtype, 2 * len(pairs))
             else:
                 raise ValueError(malformed)
+            # Inside the try: an object array takes any operand, so a
+            # non-numeric one first fails here, in the comparison.
+            if operands.size and (operands.min() < 0 or operands.max() >= count):
+                raise ValueError(message)
         except OverflowError:  # an operand beyond int64
             raise ValueError(message) from None
         except TypeError:  # a pair without a length, or an operand of no number type
             raise ValueError(malformed) from None
-        if operands.size and (operands.min() < 0 or operands.max() >= count):
-            raise ValueError(message)
         return operands.reshape(len(pairs), 2)
 
     def input_states(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:

@@ -369,8 +369,9 @@ def test_array_codec_matches_the_per_value_reference(family, n):
     # the same states from a list of pairs as from their array.
     assert states.flags.f_contiguous
     assert np.array_equal(instance.input_states(operands), states)
-    # The last holds four values, as two pairs would, in the wrong shape.
-    for malformed in [[(0, 0), (1, 0, 0)], [(0, 0), (1,)], [(0, 0), 1], [(0, 0, 0), (0,)]]:
+    # The fourth holds four values, as two pairs would, in the wrong shape.
+    for malformed in [[(0, 0), (1, 0, 0)], [(0, 0), (1,)], [(0, 0), 1], [(0, 0, 0), (0,)],
+                      [(0, 0), ("x", 1)], [(0, None)]]:
         with pytest.raises(ValueError):
             instance.input_states(malformed)
     expected = instance.expected_output_bits(operands[:, 0], operands[:, 1])

@@ -126,8 +126,9 @@ def test_single_shot_reads_zero_or_one_per_pair():
 def test_noisy_call_without_events_only_applies_the_gates():
     instance = make_adder(AdderFamily.MOD_POW2_PLUS1, 3)
     rates = [0.0] * len(instance.circuit.gates)
-    rows = instance.input_states(list(instance.legal_pairs()))
-    columns = np.asfortranarray(rows)
+    columns = instance.input_states(list(instance.legal_pairs()))
+    rows = columns.copy()
+    assert not np.shares_memory(rows, columns)
     apply_permutation_batch(instance.circuit, rows)
     noisy_chunk(instance.circuit, columns, rates, np.random.default_rng(0))
     assert np.array_equal(rows, columns)
