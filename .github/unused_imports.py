@@ -1,6 +1,6 @@
 """Report top-level imports that a Python file never uses (stdlib only).
 
-    python .github/unused_imports.py src tests
+    python .github/unused_imports.py src tests perfbench .github
 
 A name counts as used when it appears as a name anywhere else in the file.
 Package ``__init__.py`` files are skipped: their imports are re-exports.

@@ -8,10 +8,6 @@ from .adders import (
     AdderInstance,
     adder_instance,
     build_adder,
-    build_full_adder,
-    build_mod_pow2,
-    build_mod_pow2_minus1,
-    build_qdma,
     dim1_decode,
     dim1_encode,
     family_for_modulus,

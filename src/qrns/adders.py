@@ -7,16 +7,19 @@ MOD_POW2         (A+B) mod 2^n, carry-free variant of FULL
 MOD_POW2_MINUS1  (A+B) mod (2^n-1), end-around-carry, two adder stages
 MOD_POW2_PLUS1   (A+B) mod (2^n+1) on diminished-1 encoded inputs
 
-All builders are pure and exhaustively verified against the classical
+``FAMILIES`` gives each family's modulus, smallest n and wiring, and
+``build_adder`` builds every family from it.  The circuits are pure
+functions of (family, n) and exhaustively verified against the classical
 modular oracle in the test suite.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,16 +45,6 @@ class AdderFamily(Enum):
     MOD_POW2 = "mod-pow2"
     MOD_POW2_MINUS1 = "mod-pow2-minus1"
     MOD_POW2_PLUS1 = "mod-pow2-plus1"
-
-
-def family_modulus(family: AdderFamily, n: int) -> int | None:
-    if family is AdderFamily.FULL:
-        return None
-    if family is AdderFamily.MOD_POW2:
-        return 2**n
-    if family is AdderFamily.MOD_POW2_MINUS1:
-        return 2**n - 1
-    return 2**n + 1
 
 
 # --- diminished-1 codec ---------------------------------------------------
@@ -146,62 +139,43 @@ def _ripple_add_carryfree(gates: list[Gate], xw: list[int], yw: list[int]) -> No
         gates.append(cx(xw[i], yw[i]))
 
 
-# --- builders -------------------------------------------------------------
+# --- wiring ---------------------------------------------------------------
+
+# What a family's wiring function gives for n: (width, gates, registers).
+Wiring = tuple[int, list[Gate], tuple[Register, ...]]
 
 
-def build_full_adder(n: int) -> Circuit:
+def _full_wiring(n: int) -> Wiring:
     """n-bit + n-bit -> (n+1)-bit sum over 2n+1 qubits.
 
     B is replaced by the low sum bits, the extra qubit holds the carry-out,
     and A passes through unchanged.  There is no input-carry qubit.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     aw = list(range(n))
     bw = list(range(n, 2 * n))
     cout = 2 * n
     gates: list[Gate] = []
     _ripple_add(gates, aw, bw, cout)
-    registers = (
+    return 2 * n + 1, gates, (
         Register("A", tuple(aw), frozenset({TAG_INPUT, TAG_PASS})),
         Register("B", tuple(bw), frozenset({TAG_INPUT, TAG_OUTPUT})),
         Register("COUT", (cout,), frozenset({TAG_ANCILLA, TAG_OUTPUT})),
     )
-    return Circuit(
-        width=2 * n + 1,
-        gates=tuple(gates),
-        registers=registers,
-        name="full",
-        meta={"family": AdderFamily.FULL.value, "n": str(n)},
-    )
 
 
-def build_mod_pow2(n: int) -> Circuit:
+def _mod_pow2_wiring(n: int) -> Wiring:
     """(A+B) mod 2^n into B over 2n qubits; A passes through unchanged."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     aw = list(range(n))
     bw = list(range(n, 2 * n))
     gates: list[Gate] = []
     _ripple_add_carryfree(gates, aw, bw)
-    registers = (
+    return 2 * n, gates, (
         Register("A", tuple(aw), frozenset({TAG_INPUT, TAG_PASS})),
         Register("B", tuple(bw), frozenset({TAG_INPUT, TAG_OUTPUT})),
     )
-    return Circuit(
-        width=2 * n,
-        gates=tuple(gates),
-        registers=registers,
-        name="mod-pow2",
-        meta={
-            "family": AdderFamily.MOD_POW2.value,
-            "n": str(n),
-            "modulus": str(2**n),
-        },
-    )
 
 
-def build_mod_pow2_minus1(n: int) -> Circuit:
+def _mod_pow2_minus1_wiring(n: int) -> Wiring:
     """(A+B) mod (2^n - 1) into B for inputs in [0, 2^n - 2].
 
     End-around carry: stage 1 adds A+B producing a carry, stage 2 runs a
@@ -211,8 +185,6 @@ def build_mod_pow2_minus1(n: int) -> Circuit:
     chain, copies the flag, and uncomputes the chain so the detector
     ancillas end clean.  A passes through unchanged.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
     aw = list(range(n))
     bw = list(range(n, 2 * n))
     carry = 2 * n
@@ -230,7 +202,7 @@ def build_mod_pow2_minus1(n: int) -> Circuit:
     gates.extend(reversed(chain))
     for i in range(n):
         gates.append(cx(flag, bw[i]))
-    registers = (
+    return 4 * n + 1, gates, (
         Register("A", tuple(aw), frozenset({TAG_INPUT, TAG_PASS})),
         Register("B", tuple(bw), frozenset({TAG_INPUT, TAG_OUTPUT})),
         Register("CARRY", (carry,), frozenset({TAG_ANCILLA})),
@@ -239,20 +211,9 @@ def build_mod_pow2_minus1(n: int) -> Circuit:
         Register("G", tuple(gw), frozenset({TAG_ANCILLA})),
         Register("FLAG", (flag,), frozenset({TAG_ANCILLA})),
     )
-    return Circuit(
-        width=4 * n + 1,
-        gates=tuple(gates),
-        registers=registers,
-        name="mod-pow2-minus1",
-        meta={
-            "family": AdderFamily.MOD_POW2_MINUS1.value,
-            "n": str(n),
-            "modulus": str(2**n - 1),
-        },
-    )
 
 
-def build_qdma(n: int) -> Circuit:
+def _qdma_wiring(n: int) -> Wiring:
     """(A+B) mod (2^n + 1) on diminished-1 inputs of n+1 bits each.
 
     Three steps: (1) ripple-add the n low bits, keeping the carry-out live;
@@ -262,8 +223,6 @@ def build_qdma(n: int) -> Circuit:
     MSB of A pass through unchanged; the low bits of A end up holding the
     low output bits.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     aw = list(range(n + 1))  # aw[n] is the MSB flag
     bw = list(range(n + 1, 2 * n + 2))
     carry = 2 * n + 2
@@ -288,37 +247,36 @@ def build_qdma(n: int) -> Circuit:
     gates.append(ccx(aw[n], bw[n], mtop))
     for i in range(n):
         gates.append(cx(chain[i], aw[i]))
-    registers = (
+    return 3 * n + 5, gates, (
         Register("ALOW", tuple(aw[:n]), frozenset({TAG_INPUT, TAG_OUTPUT})),
         Register("AMSB", (aw[n],), frozenset({TAG_INPUT, TAG_PASS})),
         Register("B", tuple(bw), frozenset({TAG_INPUT, TAG_PASS})),
         Register("CARRY", (carry,), frozenset({TAG_ANCILLA})),
         Register("TMP", (tmp,), frozenset({TAG_ANCILLA})),
         Register("PPROD", (pprod,), frozenset({TAG_ANCILLA})),
-    ) + (
-        (Register("W", tuple(ww), frozenset({TAG_ANCILLA})),) if ww else ()
-    ) + (
+        *([Register("W", tuple(ww), frozenset({TAG_ANCILLA}))] if ww else []),
         Register("MTOP", (mtop,), frozenset({TAG_ANCILLA, TAG_OUTPUT})),
     )
-    return Circuit(
-        width=3 * n + 5,
-        gates=tuple(gates),
-        registers=registers,
-        name="mod-pow2-plus1",
-        meta={
-            "family": AdderFamily.MOD_POW2_PLUS1.value,
-            "n": str(n),
-            "modulus": str(2**n + 1),
-        },
-    )
 
 
-_BUILDERS = {
-    AdderFamily.FULL: build_full_adder,
-    AdderFamily.MOD_POW2: build_mod_pow2,
-    AdderFamily.MOD_POW2_MINUS1: build_mod_pow2_minus1,
-    AdderFamily.MOD_POW2_PLUS1: build_qdma,
+class FamilySpec(NamedTuple):
+    offset: int | None  # the modulus is 2^n + offset; None: no modulus (FULL)
+    min_n: int
+    wiring: Callable[[int], Wiring]
+
+
+# The one place that knows each family's modulus, smallest n and wiring.
+FAMILIES: dict[AdderFamily, FamilySpec] = {
+    AdderFamily.FULL: FamilySpec(None, 1, _full_wiring),
+    AdderFamily.MOD_POW2: FamilySpec(0, 1, _mod_pow2_wiring),
+    AdderFamily.MOD_POW2_MINUS1: FamilySpec(-1, 2, _mod_pow2_minus1_wiring),
+    AdderFamily.MOD_POW2_PLUS1: FamilySpec(+1, 1, _qdma_wiring),
 }
+
+
+def family_modulus(family: AdderFamily, n: int) -> int | None:
+    offset = FAMILIES[family].offset
+    return None if offset is None else 2**n + offset
 
 
 # The largest n any builder accepts.  The paper's adders have n <= 10 and a
@@ -328,9 +286,20 @@ MAX_ADDER_N = 1024
 
 
 def build_adder(family: AdderFamily, n: int) -> Circuit:
+    """The ``family`` adder on n-bit operands, named after its family, with
+    its family, n and modulus (if any) in ``meta``."""
+    spec = FAMILIES[family]
+    if n < spec.min_n:
+        raise ValueError(f"n must be >= {spec.min_n}, got {n}")
     if n > MAX_ADDER_N:
         raise ValueError(f"n must be <= {MAX_ADDER_N} (the builder size limit), got {n}")
-    return _BUILDERS[family](n)
+    width, gates, registers = spec.wiring(n)
+    meta = {"family": family.value, "n": str(n)}
+    modulus = family_modulus(family, n)
+    if modulus is not None:
+        meta["modulus"] = str(modulus)
+    return Circuit(width=width, gates=tuple(gates), registers=registers,
+                   name=family.value, meta=meta)
 
 
 def family_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> tuple[AdderFamily, int]:
@@ -342,15 +311,14 @@ def family_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> tuple[AdderF
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    if m == 3 and force_pow2m1_for_3:
-        return AdderFamily.MOD_POW2_MINUS1, 2
     candidates: list[tuple[int, AdderFamily]] = []
-    if m & (m - 1) == 0:
-        candidates.append((m.bit_length() - 1, AdderFamily.MOD_POW2))
-    if (m - 1) & (m - 2) == 0 and m - 1 >= 2:
-        candidates.append(((m - 1).bit_length() - 1, AdderFamily.MOD_POW2_PLUS1))
-    if m & (m + 1) == 0 and (m + 1).bit_length() - 1 >= 2:
-        candidates.append(((m + 1).bit_length() - 1, AdderFamily.MOD_POW2_MINUS1))
+    for family, spec in FAMILIES.items():
+        if spec.offset is not None:
+            n = (m - spec.offset).bit_length() - 1
+            if n >= spec.min_n and family_modulus(family, n) == m:
+                candidates.append((n, family))
+    if m == 3 and force_pow2m1_for_3:
+        candidates = [c for c in candidates if c[1] is AdderFamily.MOD_POW2_MINUS1]
     if not candidates:
         raise ValueError(f"{m} is not of the form 2^n, 2^n-1 or 2^n+1")
     n, family = min(candidates)
@@ -429,30 +397,34 @@ class AdderInstance:
         (len(pairs), 2) integer array.
 
         The array is int64, or holds Python ints when an operand sum may
-        not fit int64.  Operands outside [0, value_count) raise ValueError.
+        not fit int64.  Operands outside [0, value_count), and operands
+        that are not integers (floats too), raise ValueError.
         """
         count = self.value_count
         message = f"operands must lie in [0, {count})"
         dtype = np.int64 if count <= 2**62 else object
         malformed = "each operand pair must be two integers"
         try:
-            if isinstance(pairs, np.ndarray):
+            # operator.index refuses floats, which numpy would truncate;
+            # an array of bools or integers ("biu") needs no such check.
+            if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "biu":
                 operands = np.array(pairs, dtype=dtype)
+            elif isinstance(pairs, np.ndarray):
+                operands = np.fromiter(map(operator.index, pairs.flat), dtype, pairs.size)
             elif {*map(len, pairs)} <= {2}:
                 # One fromiter over the flattened pairs skips np.array's
                 # nested-sequence discovery; the length test keeps the one
                 # check of it that flattening would lose.
-                operands = np.fromiter(chain.from_iterable(pairs), dtype, 2 * len(pairs))
+                operands = np.fromiter(map(operator.index, chain.from_iterable(pairs)),
+                                       dtype, 2 * len(pairs))
             else:
                 raise ValueError(malformed)
-            # Inside the try: an object array takes any operand, so a
-            # non-numeric one first fails here, in the comparison.
-            if operands.size and (operands.min() < 0 or operands.max() >= count):
-                raise ValueError(message)
         except OverflowError:  # an operand beyond int64
             raise ValueError(message) from None
-        except TypeError:  # a pair without a length, or an operand of no number type
+        except TypeError:  # a pair without a length, or an operand that is no integer
             raise ValueError(malformed) from None
+        if operands.size and (operands.min() < 0 or operands.max() >= count):
+            raise ValueError(message)
         return operands.reshape(len(pairs), 2)
 
     def input_states(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:

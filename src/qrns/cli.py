@@ -10,6 +10,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -330,8 +331,8 @@ def cmd_calibrate(args) -> int:
     known: set[str] = set()
     for ref in MODULI_ROWS:
         labels = {f"{ref.modulus}:{ref.family.value}"}
-        # A bare modulus picks the default family tagging (3 -> 2^n+1).
-        if (ref.modulus, ref.family) != (3, AdderFamily.MOD_POW2_MINUS1):
+        # A bare modulus names the row of the family it maps to by default.
+        if family_for_modulus(ref.modulus) == (ref.family, ref.n):
             labels.add(str(ref.modulus))
         known |= labels
         if wanted is None or labels & wanted:
@@ -345,9 +346,8 @@ def cmd_calibrate(args) -> int:
     if args.out:  # before printing, so a bad path leaves stdout empty
         with _spec_errors("--out", args.out):
             model.to_file(args.out)
-    print(f"p_not     {model.p_not:.6f}")
-    print(f"p_cnot    {model.p_cnot:.6f}")
-    print(f"p_toffoli {model.p_toffoli:.6f}")
+    for rate in fields(model):
+        print(f"{rate.name:<10}{getattr(model, rate.name):.6f}")
     print(f"residual  {result.residual:.6f} "
           f"({result.evaluations} evaluations, "
           f"{'converged' if result.converged else 'iteration cap reached'})")

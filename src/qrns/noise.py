@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,10 +54,10 @@ class NoiseModel:
     p_toffoli: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_not", "p_cnot", "p_toffoli"):
-            p = getattr(self, name)
+        for rate in fields(self):
+            p = getattr(self, rate.name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+                raise ValueError(f"{rate.name} must be in [0, 1], got {p}")
 
     def for_kind(self, kind: GateKind) -> float:
         if kind is GateKind.NOT:
@@ -72,13 +72,14 @@ class NoiseModel:
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"p_not = {self.p_not!r}\n")
-            fh.write(f"p_cnot = {self.p_cnot!r}\n")
-            fh.write(f"p_toffoli = {self.p_toffoli!r}\n")
+            for rate in fields(self):
+                fh.write(f"{rate.name} = {getattr(self, rate.name)!r}\n")
 
     @classmethod
     def from_file(cls, path: str) -> "NoiseModel":
-        """Read ``name = value`` lines; a malformed one raises ValueError("line N: ...")."""
+        """Read ``name = value`` lines, one per rate; a malformed line, or
+        one naming no rate, raises ValueError("line N: ...")."""
+        names = [rate.name for rate in fields(cls)]
         values: dict[str, float] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -89,15 +90,17 @@ class NoiseModel:
                 if not sep:
                     raise ValueError(f"line {lineno}: expected 'name = value', "
                                      f"got {line!r}")
+                key = key.strip()
+                if key not in names:
+                    raise ValueError(f"line {lineno}: unknown field {key!r}")
                 try:
-                    values[key.strip()] = float(value)
+                    values[key] = float(value)
                 except ValueError as exc:
                     raise ValueError(f"line {lineno}: {exc}") from exc
-        missing = {"p_not", "p_cnot", "p_toffoli"} - values.keys()
+        missing = set(names) - values.keys()
         if missing:
             raise ValueError(f"noise file missing fields: {sorted(missing)}")
-        return cls(p_not=values["p_not"], p_cnot=values["p_cnot"],
-                   p_toffoli=values["p_toffoli"])
+        return cls(**values)
 
 
 # Calibrated against the published output probabilities of the eight

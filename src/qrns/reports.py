@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any, Sequence
 
@@ -72,8 +72,7 @@ class ReportDocument:
 def base_metadata(seed: int, noise: NoiseModel, **extra: Any) -> dict[str, Any]:
     meta: dict[str, Any] = {
         "seed": seed,
-        "noise": {"p_not": noise.p_not, "p_cnot": noise.p_cnot,
-                  "p_toffoli": noise.p_toffoli},
+        "noise": asdict(noise),
         "version": __version__,
     }
     meta.update(extra)

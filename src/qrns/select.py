@@ -20,9 +20,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
-from .adders import family_for_modulus, make_adder
+from .adders import FAMILIES, family_for_modulus, family_modulus, make_adder
 from .reference import moduli_row
 from .rns import RANGE_LIMIT, RnsSet
 
@@ -44,19 +43,10 @@ class SelectionError(Exception):
 
 
 def moduli_pool(max_n: int) -> tuple[int, ...]:
-    """Candidate moduli from the three families for n up to max_n."""
-    pool: set[int] = set()
-    for n in range(1, max_n + 1):
-        pool.add(2**n)
-        pool.add(2**n + 1)
-        if 2**n - 1 >= 2:
-            pool.add(2**n - 1)
+    """Candidate moduli from the modular families for n up to max_n."""
+    pool = {family_modulus(family, n) for family, spec in FAMILIES.items()
+            if spec.offset is not None for n in range(spec.min_n, max_n + 1)}
     return tuple(sorted(pool))
-
-
-@lru_cache(maxsize=None)
-def _built_depth(modulus: int, force_pow2m1_for_3: bool) -> int:
-    return make_adder(*family_for_modulus(modulus, force_pow2m1_for_3)).resources.toffoli_depth
 
 
 def toffoli_depth_of(modulus: int, source: DepthSource,
@@ -64,9 +54,10 @@ def toffoli_depth_of(modulus: int, source: DepthSource,
     """Toffoli depth of the modulus's adder: built and measured, or the
     published table's value for the family the modulus maps to (3 is the
     2^n+1 design unless the 2^n-1 variant is forced)."""
+    family, n = family_for_modulus(modulus, force_pow2m1_for_3)
     if source is DepthSource.BUILT:
-        return _built_depth(modulus, force_pow2m1_for_3)
-    row = moduli_row(modulus, family_for_modulus(modulus, force_pow2m1_for_3)[0])
+        return make_adder(family, n).resources.toffoli_depth
+    row = moduli_row(modulus, family)
     if row is None:
         raise KeyError(f"no reference depth for modulus {modulus}")
     return row.toffoli_depth

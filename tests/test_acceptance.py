@@ -10,9 +10,6 @@ from fractions import Fraction
 from qrns.adders import (
     AdderFamily,
     build_adder,
-    build_full_adder,
-    build_mod_pow2,
-    build_qdma,
     make_adder,
 )
 from qrns.cli import main as cli_main
@@ -103,13 +100,13 @@ def test_criterion_03_efficiency_exact_rationals():
 
 
 def test_criterion_04_resource_exactness():
-    mod2 = resource_report(build_mod_pow2(1))
+    mod2 = resource_report(build_adder(AdderFamily.MOD_POW2, 1))
     assert (mod2.toffoli_count, mod2.cnot_count) == (0, 1)
-    mod4 = resource_report(build_mod_pow2(2))
+    mod4 = resource_report(build_adder(AdderFamily.MOD_POW2, 2))
     assert (mod4.toffoli_count, mod4.cnot_count) == (1, 2)
-    mod8 = resource_report(build_mod_pow2(3))
+    mod8 = resource_report(build_adder(AdderFamily.MOD_POW2, 3))
     assert (mod8.toffoli_count, mod8.cnot_count) == (3, 6)
-    qdma1 = resource_report(build_qdma(1))
+    qdma1 = resource_report(build_adder(AdderFamily.MOD_POW2_PLUS1, 1))
     assert (qdma1.toffoli_count, qdma1.cnot_count) == (5, 2)
     assert (qdma1.toffoli_depth, qdma1.cnot_depth) == (4, 2)
     assert qdma1.qubit_count == 8
@@ -118,7 +115,8 @@ def test_criterion_04_resource_exactness():
 
 
 def test_criterion_05_qubit_counts():
-    full_qubits = {size: build_full_adder(size - 1).width for size in TABLE2_SIZES}
+    full_qubits = {size: build_adder(AdderFamily.FULL, size - 1).width
+                   for size in TABLE2_SIZES}
     assert full_qubits == {6: 11, 7: 13, 8: 15, 9: 17, 10: 19, 11: 21}
     for size in TABLE2_SIZES:
         rns = RnsSet.from_moduli(TABLE2_SETS[size])
@@ -134,7 +132,7 @@ def test_criterion_05_qubit_counts():
 
 def test_criterion_06_toffoli_depth_dominance():
     for size in TABLE2_SIZES:
-        mono = resource_report(build_full_adder(size - 1)).toffoli_depth
+        mono = resource_report(build_adder(AdderFamily.FULL, size - 1)).toffoli_depth
         rns = RnsSet.from_moduli(TABLE2_SETS[size])
         set_depth = max(resource_report(build_adder(fam, n)).toffoli_depth
                         for fam, n in rns.families)

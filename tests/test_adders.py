@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,10 +8,6 @@ from qrns.adders import (
     AdderFamily,
     adder_instance,
     build_adder,
-    build_full_adder,
-    build_mod_pow2,
-    build_mod_pow2_minus1,
-    build_qdma,
     dim1_decode,
     dim1_encode,
     family_for_modulus,
@@ -24,6 +21,7 @@ from qrns.circuit import (
     to_text,
 )
 from qrns.resources import resource_report
+from qrns.select import moduli_pool
 
 
 def wire_value(row, wires):
@@ -158,12 +156,50 @@ def test_qdma_dim1_examples():
     assert int(instance.run_pairs([(0, 0)])[0]) == 0b1000
 
 
+# --- builder text pins -------------------------------------------------------
+
+# First 16 hex digits of the sha256 of to_text(build_adder(family, n)), for n
+# from the family's smallest n up to 12.  Width, registers, metadata and the
+# gate order are all pinned: noisy runs draw their errors per gate index, so
+# reordering gates would move every noisy result.
+BUILDER_TEXT_DIGESTS = {
+    AdderFamily.FULL: (
+        "0f9fe907fd7fe7c9", "bccdbee1abcd095a", "33bcc708a439762d", "4cbba50fd438e37a",
+        "66f9f31ee399f725", "5a15d7f88f902c30", "d49e5bb7a3b2c86d", "5bcea4ca861d6fd6",
+        "8e095ebc0cfc7d5d", "77a794754a610538", "0001d054b2397242", "0c7dc04362c21e23",
+    ),
+    AdderFamily.MOD_POW2: (
+        "3bc27ac44b74efa6", "538f6e5a29b400ee", "3e74402d2c2a4bb2", "af4d3377b0069026",
+        "b2f9475e10fded39", "f518ca71a727a67e", "a12013c5311d1ec6", "2ffe7d5b1ba742ef",
+        "db14972df2a993b8", "5fd1b97d49816872", "020adfc86c76197b", "e69166bf57bc66b6",
+    ),
+    AdderFamily.MOD_POW2_MINUS1: (
+        "f81ac9e5f756c01e", "2192e8ee8dc2d2b5", "c365549e06f92976", "acebf3555ffa5ed1",
+        "427cbc582f224867", "3fb8f8bf49d2341b", "60a9171c9de0f76b", "f07464121dba52fa",
+        "3006a14de865637a", "bf7e72aff4897bab", "fde57f090b562118",
+    ),
+    AdderFamily.MOD_POW2_PLUS1: (
+        "677a5befcdd57a63", "38b08536838eb473", "1eaffd6f93b5eb7d", "8eaf74f0f94dc9a2",
+        "1ff6df35d5939295", "e735be4a234c0240", "6c6578fa4d648968", "bbde8c29400bb4bc",
+        "e94599a86db3b4d7", "b754f0a9cffc8438", "1ea6e78a9a984277", "97ee8dba5d7e5e58",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(AdderFamily))
+def test_builders_keep_their_recorded_text(family):
+    pinned = BUILDER_TEXT_DIGESTS[family]
+    digests = tuple(hashlib.sha256(to_text(build_adder(family, n)).encode()).hexdigest()[:16]
+                    for n in range(13 - len(pinned), 13))
+    assert digests == pinned
+
+
 # --- resource pins ----------------------------------------------------------
 
 def test_mod_pow2_resources_are_exact():
     pins = {1: (0, 1, 0, 1, 2), 2: (1, 2, 1, 1, 4), 3: (3, 6, 3, 4, 6)}
     for n, (tc, cc, td, cd, qubits) in pins.items():
-        report = resource_report(build_mod_pow2(n))
+        report = resource_report(build_adder(AdderFamily.MOD_POW2, n))
         assert report.toffoli_count == tc
         assert report.cnot_count == cc
         assert report.toffoli_depth == td
@@ -172,7 +208,7 @@ def test_mod_pow2_resources_are_exact():
 
 
 def test_mod2_circuit_is_a_single_cnot():
-    circuit = build_mod_pow2(1)
+    circuit = build_adder(AdderFamily.MOD_POW2, 1)
     assert len(circuit.gates) == 1
     assert circuit.gates[0].kind is GateKind.CNOT
 
@@ -181,7 +217,7 @@ def test_qdma_resources_are_exact():
     # (toffoli, cnot, toffoli depth, cnot depth, qubits) per size parameter
     pins = {1: (5, 2, 4, 2, 8), 2: (8, 7, 6, 5, 11), 3: (11, 13, 9, 7, 14)}
     for n, (tc, cc, td, cd, qubits) in pins.items():
-        report = resource_report(build_qdma(n))
+        report = resource_report(build_adder(AdderFamily.MOD_POW2_PLUS1, n))
         assert (report.toffoli_count, report.cnot_count) == (tc, cc)
         assert (report.toffoli_depth, report.cnot_depth) == (td, cd)
         assert report.qubit_count == qubits
@@ -212,18 +248,18 @@ def test_one_pass_depths_match_a_schedule_per_kind(family):
 
 def test_qdma_nand_stage_budget():
     # The three-input inverted product costs two Toffolis and six NOTs.
-    report = resource_report(build_qdma(3))
+    report = resource_report(build_adder(AdderFamily.MOD_POW2_PLUS1, 3))
     assert report.not_count == 6
 
 
 def test_full_adder_qubit_counts_match_reference_sizes():
     for n, qubits in [(5, 11), (6, 13), (7, 15), (8, 17), (9, 19), (10, 21)]:
-        assert build_full_adder(n).width == qubits
+        assert build_adder(AdderFamily.FULL, n).width == qubits
 
 
 def test_full_adder_toffoli_depth_is_linear():
     for n in range(1, 11):
-        report = resource_report(build_full_adder(n))
+        report = resource_report(build_adder(AdderFamily.FULL, n))
         assert report.toffoli_depth == 2 * n - 1
 
 
@@ -234,7 +270,7 @@ def test_full_adder_cnot_depth_tracks_reference():
     # The shortfall stays under 30% and is conservative (a shallower
     # baseline only understates the distributed advantage).
     for n in range(5, 11):
-        report = resource_report(build_full_adder(n))
+        report = resource_report(build_adder(AdderFamily.FULL, n))
         assert report.cnot_depth == 2 * n
         reference = 3 * n - 2
         assert abs(report.cnot_depth - reference) / reference <= 0.30
@@ -242,7 +278,7 @@ def test_full_adder_cnot_depth_tracks_reference():
 
 def test_mod_pow2_has_no_carry_wire():
     for n in (1, 2, 3, 4):
-        circuit = build_mod_pow2(n)
+        circuit = build_adder(AdderFamily.MOD_POW2, n)
         assert circuit.width == 2 * n
         touched = {q for g in circuit.gates for q in g.qubits}
         assert touched <= set(range(2 * n))
@@ -250,15 +286,15 @@ def test_mod_pow2_has_no_carry_wire():
 
 # --- builder parameter validation -------------------------------------------
 
-@pytest.mark.parametrize("builder,bad_n", [
-    (build_full_adder, 0),
-    (build_mod_pow2, 0),
-    (build_mod_pow2_minus1, 1),
-    (build_qdma, 0),
+@pytest.mark.parametrize("family,bad_n", [
+    (AdderFamily.FULL, 0),
+    (AdderFamily.MOD_POW2, 0),
+    (AdderFamily.MOD_POW2_MINUS1, 1),
+    (AdderFamily.MOD_POW2_PLUS1, 0),
 ])
-def test_builders_reject_small_n(builder, bad_n):
-    with pytest.raises(ValueError):
-        builder(bad_n)
+def test_builders_reject_small_n(family, bad_n):
+    with pytest.raises(ValueError, match=f"n must be >= {bad_n + 1}, got {bad_n}"):
+        build_adder(family, bad_n)
 
 
 # --- family tagging -----------------------------------------------------------
@@ -289,6 +325,42 @@ def test_family_for_modulus_rejects_unsupported():
         family_for_modulus(6)
     with pytest.raises(ValueError):
         family_for_modulus(1)
+
+
+# (modulus offset from 2^n, smallest n) of each modular family, written out
+# here so that the brute-force tests below do not read the family table.
+MODULAR_FAMILIES = {
+    AdderFamily.MOD_POW2: (0, 1),
+    AdderFamily.MOD_POW2_MINUS1: (-1, 2),
+    AdderFamily.MOD_POW2_PLUS1: (+1, 1),
+}
+
+
+def _family_moduli(max_n):
+    """(modulus, n, family) for every modular family and n <= max_n."""
+    return [(2**n + offset, n, family)
+            for family, (offset, min_n) in MODULAR_FAMILIES.items()
+            for n in range(min_n, max_n + 1)]
+
+
+def test_family_for_modulus_matches_brute_force():
+    listed = _family_moduli(12)
+    for m in range(4096):
+        matches = sorted((n, family.value, family) for modulus, n, family in listed
+                         if modulus == m)
+        forced = [match for match in matches
+                  if m == 3 and match[2] is AdderFamily.MOD_POW2_MINUS1] or matches
+        for force, wanted in ((False, matches), (True, forced)):
+            if wanted:
+                assert family_for_modulus(m, force) == (wanted[0][2], wanted[0][0]), m
+            else:
+                with pytest.raises(ValueError):
+                    family_for_modulus(m, force)
+
+
+def test_moduli_pool_matches_brute_force():
+    for max_n in range(1, 13):
+        assert moduli_pool(max_n) == tuple(sorted({m for m, _, _ in _family_moduli(max_n)}))
 
 
 def test_adder_instance_requires_metadata():
@@ -389,6 +461,23 @@ def test_operands_beyond_int64_or_below_zero_raise_value_error(family, n, operan
     for pair in [(operand, 0), (0, operand)]:
         with pytest.raises(ValueError, match=r"operands must lie in \[0, "):
             instance.input_states([(1, 1), pair])
+
+
+@pytest.mark.parametrize("n", [20, 63])
+def test_non_integer_operands_raise_value_error(n):
+    # numpy would truncate them: (1.5, 2.9) used to be packed as (1, 2).
+    instance = make_adder(AdderFamily.MOD_POW2, n)
+    for pairs in ([(1.5, 2.9)], [(1, 2), (3, 4.0)], np.array([[1.5, 2.9]]),
+                  [(np.float64(1.0), np.float32(2.0))], np.array([[1, 2.5]], dtype=object)):
+        for convert in (instance.operand_array, instance.input_states):
+            with pytest.raises(ValueError, match="each operand pair must be two integers"):
+                convert(pairs)
+    # Integers of any type still pass.
+    integers = [(np.int64(1), np.uint8(2)), (True, 3)]
+    assert instance.operand_array(integers).tolist() == [[1, 2], [1, 3]]
+    for array in (np.array([[1, 2]], dtype=object), np.array([[1, 2]], dtype=np.uint8),
+                  np.array([[True, False]])):
+        assert instance.operand_array(array).tolist() == [[int(v) for v in array[0]]]
 
 
 def test_make_adder_returns_one_shared_instance():

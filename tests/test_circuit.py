@@ -22,9 +22,6 @@ from qrns.circuit import (
 from qrns.adders import (
     AdderFamily,
     build_adder,
-    build_full_adder,
-    build_mod_pow2,
-    build_qdma,
 )
 from qrns.resources import resource_report
 
@@ -98,9 +95,9 @@ def test_apply_permutation_width_mismatch():
 
 
 @pytest.mark.parametrize("circuit", [
-    build_full_adder(3),
-    build_mod_pow2(4),
-    build_qdma(3),
+    build_adder(AdderFamily.FULL, 3),
+    build_adder(AdderFamily.MOD_POW2, 4),
+    build_adder(AdderFamily.MOD_POW2_PLUS1, 3),
     build_adder(AdderFamily.MOD_POW2_MINUS1, 3),
 ])
 def test_builders_are_injective_on_all_basis_states(circuit):
@@ -150,7 +147,8 @@ def test_kind_depth_ignores_other_kinds():
 
 
 def test_depth_never_exceeds_count():
-    for circuit in (build_full_adder(4), build_qdma(2)):
+    for circuit in (build_adder(AdderFamily.FULL, 4),
+                    build_adder(AdderFamily.MOD_POW2_PLUS1, 2)):
         report = resource_report(circuit)
         assert report.toffoli_depth <= report.toffoli_count
         assert report.cnot_depth <= report.cnot_count
@@ -159,7 +157,7 @@ def test_depth_never_exceeds_count():
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(list(range(8))))
 def test_depths_invariant_under_wire_relabeling(perm):
-    base = build_qdma(1)
+    base = build_adder(AdderFamily.MOD_POW2_PLUS1, 1)
     relabeled = Circuit(
         base.width,
         tuple(Gate(g.kind, tuple(perm[q] for q in g.qubits)) for g in base.gates),
@@ -191,10 +189,10 @@ def test_appending_gates_is_monotone(gates, extra):
 
 
 @pytest.mark.parametrize("circuit", [
-    build_full_adder(1),
-    build_full_adder(5),
-    build_mod_pow2(3),
-    build_qdma(2),
+    build_adder(AdderFamily.FULL, 1),
+    build_adder(AdderFamily.FULL, 5),
+    build_adder(AdderFamily.MOD_POW2, 3),
+    build_adder(AdderFamily.MOD_POW2_PLUS1, 2),
     build_adder(AdderFamily.MOD_POW2_MINUS1, 2),
 ])
 def test_text_round_trip(circuit):

@@ -374,6 +374,8 @@ def _write_noise_files(tmp_path):
     (tmp_path / "no_equals.txt").write_text("p_not 0.1\np_cnot = 0\np_toffoli = 0\n")
     (tmp_path / "not_utf8.txt").write_bytes(b"p_not = \xff\xfe\n")
     (tmp_path / "all_ones.txt").write_text("p_not = 1\np_cnot = 1\np_toffoli = 1\n")
+    (tmp_path / "p_measure.txt").write_text(
+        "p_not = 0\np_cnot = 0\np_toffoli = 0\np_measure = 0.5\n")
     (tmp_path / "a_directory").mkdir()
 
 
@@ -387,6 +389,8 @@ def _write_noise_files(tmp_path):
     (("run", "--circuit", "mod:5", "--noise", "{tmp}/not_utf8.txt"),
      "can't decode byte 0xff"),
     (("run", "--circuit", "mod:5", "--noise", "{tmp}/a_directory"), "Is a directory"),
+    (("run", "--circuit", "mod:5", "--noise", "{tmp}/p_measure.txt"),
+     "line 4: unknown field 'p_measure'"),
     (("run", "--circuit", "{tmp}/a_directory"), "Is a directory"),
     (("run", "--circuit", "x" * 5000), "File name too long"),
     (("synth", "qdma", "2", "--out", "{tmp}/missing/x.txt"),
@@ -407,7 +411,7 @@ def _write_noise_files(tmp_path):
     (("run", "--circuit", "full:5", "--sample", str(MAX_RANDOM_PAIRS + 1), "--noise",
       "zero"), f"--sample {MAX_RANDOM_PAIRS + 1}: pair count must be in [1, "),
 ], ids=["exhaustive-over-cap", "noise-rate-above-1", "noise-line-without-equals",
-        "noise-not-utf8", "noise-directory", "circuit-directory",
+        "noise-not-utf8", "noise-directory", "noise-unknown-field", "circuit-directory",
         "circuit-name-too-long", "synth-out-unwritable", "table1-csv-unwritable",
         "calibrate-out-unwritable", "run-shots-2^63", "run-pair-shots-2^63",
         "table1-shots-2^63", "calibrate-shots-2^63", "dqc-add-shots-2^63",

@@ -39,6 +39,12 @@ def test_noise_model_file_round_trip(tmp_path):
     assert NoiseModel.from_file(str(path)) == DEFAULT_NOISE
 
 
+def test_noise_model_file_text(tmp_path):
+    path = tmp_path / "noise.txt"
+    DEFAULT_NOISE.to_file(str(path))
+    assert path.read_text() == "p_not = 0.0198\np_cnot = 0.011\np_toffoli = 0.0077\n"
+
+
 def test_noise_model_file_missing_field(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("p_not = 0.1\np_cnot = 0.1\n")
@@ -53,7 +59,11 @@ def test_noise_model_file_missing_field(tmp_path):
      "line 2: could not convert string to float"),
     ("p_not = 0.1\np_cnot =\np_toffoli = 0.1\n",
      "line 2: could not convert string to float"),
-], ids=["no-equals", "not-a-float", "empty-value"])
+    ("p_not = 0.1\np_cnot = 0.1\np_toffoli = 0.1\np_measure = 0.5\n",
+     "line 4: unknown field 'p_measure'"),
+    ("p_not = 0.1\np_cnot = 0.1\np_tofoli = 0.9\np_toffoli = 0.1\n",
+     "line 3: unknown field 'p_tofoli'"),
+], ids=["no-equals", "not-a-float", "empty-value", "unknown-field", "misspelt-field"])
 def test_noise_model_file_malformed_line_names_its_number(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
