@@ -432,11 +432,18 @@ class AdderInstance:
         wires and every other wire at zero.
 
         This is the one operand packer: every noiseless and noisy run
-        starts from its rows.  The (pairs, width) array is column-major
+        starts from its rows, or from those of its packing step
+        ``_pack_operands``, which ``output_probability`` calls on the pairs
+        it has already converted.  The (pairs, width) array is column-major
         (F-contiguous), so each wire's column is contiguous for the gate
         loop.  Operands outside [0, value_count) raise ValueError.
         """
-        codes = self.encode_operand(self.operand_array(pairs))
+        return self._pack_operands(self.operand_array(pairs))
+
+    def _pack_operands(self, operands: np.ndarray) -> np.ndarray:
+        """``input_states`` of an array that ``operand_array`` returned,
+        which is not converted or range-checked again."""
+        codes = self.encode_operand(operands)
         columns = np.zeros((self.circuit.width, len(codes)), dtype=np.uint8)
         for wires, column in zip((self.a_wires, self.b_wires), codes.T):
             columns[wires, :] = (column >> np.arange(len(wires))[:, np.newaxis]) & 1

@@ -396,7 +396,9 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--efficiency", type=float, default=0.9)
     p.add_argument("--noise", default="default")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="checked (>= 1) but unused: the residue jobs run one "
+                        "after another")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shots", type=_positive_int, default=100)
     p.add_argument("--json", action="store_true")

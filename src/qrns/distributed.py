@@ -1,15 +1,14 @@
 """Distributed residue addition: independent per-modulus jobs plus CRT.
 
 A sum is split into one modulo-adder job per modulus.  Jobs share nothing
-and carry their own seeds, so results are bit-identical for any worker
-count or scheduling order.  The classical side plans residues, runs the
-jobs, and recombines the modal outcomes through the Chinese Remainder
+and carry their own seeds, so results are bit-identical whatever order
+they run in.  The classical side plans residues, runs the jobs one after
+another, and recombines the modal outcomes through the Chinese Remainder
 Theorem.
 """
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -147,22 +146,26 @@ def _decodable(instance: AdderInstance, bits: int) -> bool:
 
 def execute_jobs(jobs: list[ResidueJob], workers: int,
                  noise: NoiseModel) -> list[JobResult]:
-    """Run jobs concurrently; failures stay isolated to their own job."""
+    """Run jobs one after another in the calling thread, in job_id order;
+    a failure stays isolated to its own job.
+
+    ``workers`` is checked (>= 1) but changes nothing: a job is a
+    GIL-bound chain of small numpy calls, so threads run no two jobs at
+    once and only add their overhead.  Each job carries its own seed, so
+    the results do not depend on how the jobs are scheduled.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def safe(job: ResidueJob) -> JobResult:
+    results = []
+    for job in sorted(jobs, key=lambda j: j.job_id):
         try:
-            return _run_job(job, noise)
+            results.append(_run_job(job, noise))
         except Exception as exc:  # noqa: BLE001 - per-job isolation
-            return JobResult(job_id=job.job_id, modulus=job.modulus,
-                             histogram=None, top_bits=None, top_value=None,
-                             top_probability=0.0, correct_probability=0.0,
-                             tie=False, error=str(exc))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(safe, jobs))
-    return sorted(results, key=lambda r: r.job_id)
+            results.append(JobResult(job_id=job.job_id, modulus=job.modulus,
+                                     histogram=None, top_bits=None, top_value=None,
+                                     top_probability=0.0, correct_probability=0.0,
+                                     tie=False, error=str(exc)))
+    return results
 
 
 def aggregate(results: list[JobResult], rns: RnsSet) -> DistributedSum:

@@ -77,8 +77,8 @@ class NoiseModel:
 
     @classmethod
     def from_file(cls, path: str) -> "NoiseModel":
-        """Read ``name = value`` lines, one per rate; a malformed line, or
-        one naming no rate, raises ValueError("line N: ...")."""
+        """Read ``name = value`` lines, one per rate; a malformed line, one
+        naming no rate or one repeating a rate raises ValueError("line N: ...")."""
         names = [rate.name for rate in fields(cls)]
         values: dict[str, float] = {}
         with open(path, encoding="utf-8") as fh:
@@ -93,6 +93,8 @@ class NoiseModel:
                 key = key.strip()
                 if key not in names:
                     raise ValueError(f"line {lineno}: unknown field {key!r}")
+                if key in values:
+                    raise ValueError(f"line {lineno}: repeated field {key!r}")
                 try:
                     values[key] = float(value)
                 except ValueError as exc:
@@ -265,7 +267,12 @@ def run_shots(circuit: Circuit, inputs: np.ndarray, shots: int,
     check_readable(measure)
     histogram: Counter[int] = Counter()
     for _, _, values in _simulate(circuit, inputs, shots, noise, seed, measure):
-        outcomes, counts = np.unique(values, return_counts=True)
+        # np.unique sorts, and numpy sorts uint8, the read dtype of every
+        # residue adder, about 9x slower than uint64: 0.92 against 0.11 ms
+        # per 20,000 values (numpy 2.4).  np.bincount (0.04 ms) suits narrow
+        # reads only, so it would be a second path to save 0.07 ms a job.
+        outcomes, counts = np.unique(values.astype(np.uint64, copy=False),
+                                     return_counts=True)
         histogram.update(dict(zip(outcomes.tolist(), counts.tolist())))
     return histogram
 
@@ -339,7 +346,7 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
                          f"{len(wires)} output wires")
     expected = expected.astype(read_dtype(wires))
     hits = np.zeros(len(pairs), dtype=np.int64)
-    for first, counts, values in _simulate(instance.circuit, instance.input_states(pairs),
+    for first, counts, values in _simulate(instance.circuit, instance._pack_operands(pairs),
                                            shots, noise, seed, wires):
         span = slice(first, first + len(counts))
         correct = values == np.repeat(expected[span], counts)

@@ -376,6 +376,8 @@ def _write_noise_files(tmp_path):
     (tmp_path / "all_ones.txt").write_text("p_not = 1\np_cnot = 1\np_toffoli = 1\n")
     (tmp_path / "p_measure.txt").write_text(
         "p_not = 0\np_cnot = 0\np_toffoli = 0\np_measure = 0.5\n")
+    (tmp_path / "p_not_twice.txt").write_text(
+        "p_not = 0.1\np_cnot = 0\np_toffoli = 0\np_not = 0.9\n")
     (tmp_path / "a_directory").mkdir()
 
 
@@ -391,6 +393,8 @@ def _write_noise_files(tmp_path):
     (("run", "--circuit", "mod:5", "--noise", "{tmp}/a_directory"), "Is a directory"),
     (("run", "--circuit", "mod:5", "--noise", "{tmp}/p_measure.txt"),
      "line 4: unknown field 'p_measure'"),
+    (("run", "--circuit", "mod:5", "--noise", "{tmp}/p_not_twice.txt"),
+     "line 4: repeated field 'p_not'"),
     (("run", "--circuit", "{tmp}/a_directory"), "Is a directory"),
     (("run", "--circuit", "x" * 5000), "File name too long"),
     (("synth", "qdma", "2", "--out", "{tmp}/missing/x.txt"),
@@ -411,7 +415,8 @@ def _write_noise_files(tmp_path):
     (("run", "--circuit", "full:5", "--sample", str(MAX_RANDOM_PAIRS + 1), "--noise",
       "zero"), f"--sample {MAX_RANDOM_PAIRS + 1}: pair count must be in [1, "),
 ], ids=["exhaustive-over-cap", "noise-rate-above-1", "noise-line-without-equals",
-        "noise-not-utf8", "noise-directory", "noise-unknown-field", "circuit-directory",
+        "noise-not-utf8", "noise-directory", "noise-unknown-field",
+        "noise-repeated-field", "circuit-directory",
         "circuit-name-too-long", "synth-out-unwritable", "table1-csv-unwritable",
         "calibrate-out-unwritable", "run-shots-2^63", "run-pair-shots-2^63",
         "table1-shots-2^63", "calibrate-shots-2^63", "dqc-add-shots-2^63",
@@ -424,6 +429,15 @@ def test_bad_input_anywhere_exits_1_without_traceback(capsys, tmp_path, argv, me
     assert "Traceback" not in stderr
     assert stderr.startswith("qrns: error: ")
     assert message in stderr
+
+
+def test_repeated_noise_line_names_the_option(capsys, tmp_path):
+    _write_noise_files(tmp_path)
+    code, _, stderr = run_cli(capsys, "dqc-add", "--a", "1", "--b", "2", "--k", "64",
+                              "--noise", str(tmp_path / "p_not_twice.txt"))
+    assert code == 1
+    assert stderr.startswith("qrns: error: --noise ")
+    assert stderr.endswith(": line 4: repeated field 'p_not'\n")
 
 
 def test_dqc_add_undecodable_modal_outcome_is_simulation_error(capsys, tmp_path):

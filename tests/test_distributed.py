@@ -1,7 +1,9 @@
 import dataclasses
+import threading
 
 import pytest
 
+from qrns import distributed
 from qrns.distributed import (
     RangeOverflowError,
     SimulationError,
@@ -65,6 +67,23 @@ def test_worker_count_does_not_change_results():
         again = execute_jobs(plan_jobs(11, 30, RNS345, shots=200, base_seed=77),
                              workers=workers, noise=DEFAULT_NOISE)
         assert [r.histogram for r in again] == [r.histogram for r in reference]
+
+
+def test_jobs_run_in_the_callers_thread(monkeypatch):
+    run_job = distributed._run_job
+    threads = []
+
+    def recording(job, noise):
+        threads.append((job.job_id, threading.get_ident()))
+        return run_job(job, noise)
+
+    monkeypatch.setattr(distributed, "_run_job", recording)
+    started = threading.active_count()
+    results = execute_jobs(plan_jobs(17, 25, RNS345, shots=20, base_seed=1),
+                           workers=3, noise=NoiseModel.zero())
+    assert threads == [(job_id, threading.get_ident()) for job_id in range(3)]
+    assert threading.active_count() == started
+    assert [r.top_value for r in results] == [0, 2, 2]
 
 
 def test_failed_job_is_isolated():

@@ -1,18 +1,29 @@
 """The chunked sparse-error kernel against an exact value and at its edges."""
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qrns.adders import AdderFamily, make_adder
-from qrns.circuit import Circuit, GateKind, apply_permutation_batch, ccx, cx, x
+from qrns.circuit import (
+    Circuit,
+    GateKind,
+    apply_permutation_batch,
+    ccx,
+    cx,
+    read_dtype,
+    read_value,
+    x,
+)
 from qrns.noise import (
     CHUNK_ROWS,
     DEFAULT_NOISE,
     NoiseModel,
     _draw_errors,
     _flip_targets,
+    derive_seed,
     output_probability,
     run_shots,
 )
@@ -147,6 +158,29 @@ def test_run_shots_over_a_chunk_boundary_totals_the_shots():
     exact = run_shots(instance.circuit, inputs, shots, NoiseModel.zero(), 4,
                       instance.output_wires)
     assert exact == {3: shots}
+
+
+@pytest.mark.parametrize("family,n,shots,itemsize", [
+    (AdderFamily.MOD_POW2, 2, CHUNK_ROWS + 7, 1),
+    (AdderFamily.FULL, 9, 3000, 2),
+    (AdderFamily.FULL, 20, 2000, 4),
+    (AdderFamily.FULL, 40, 500, 8),
+])
+def test_run_shots_counts_every_rows_read_value(family, n, shots, itemsize):
+    """The histogram is a plain Counter of each chunk's rows as read_value
+    reads them, whatever the item size of the read."""
+    instance = make_adder(family, n)
+    circuit, wires = instance.circuit, instance.output_wires
+    assert read_dtype(wires).itemsize == itemsize
+    inputs = instance.input_states([(1, instance.value_count - 2)])
+    rates = [DEFAULT_NOISE.for_kind(gate.kind) for gate in circuit.gates]
+    expected = Counter()
+    for chunk, start in enumerate(range(0, shots, CHUNK_ROWS)):
+        rng = np.random.Generator(np.random.PCG64(derive_seed(3, chunk)))
+        states = np.asfortranarray(np.repeat(inputs, min(CHUNK_ROWS, shots - start), axis=0))
+        expected.update(read_value(wires, noisy_chunk(circuit, states, rates, rng)).tolist())
+    assert len(expected) > 1
+    assert run_shots(circuit, inputs, shots, DEFAULT_NOISE, 3, wires) == expected
 
 
 def test_pairs_spanning_several_chunks_repeat_bit_identically():

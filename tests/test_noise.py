@@ -63,7 +63,10 @@ def test_noise_model_file_missing_field(tmp_path):
      "line 4: unknown field 'p_measure'"),
     ("p_not = 0.1\np_cnot = 0.1\np_tofoli = 0.9\np_toffoli = 0.1\n",
      "line 3: unknown field 'p_tofoli'"),
-], ids=["no-equals", "not-a-float", "empty-value", "unknown-field", "misspelt-field"])
+    ("p_not = 0.1\np_cnot = 0.1\np_toffoli = 0.1\np_not = 0.9\n",
+     "line 4: repeated field 'p_not'"),
+], ids=["no-equals", "not-a-float", "empty-value", "unknown-field", "misspelt-field",
+        "repeated-field"])
 def test_noise_model_file_malformed_line_names_its_number(tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
