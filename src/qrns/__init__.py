@@ -59,7 +59,6 @@ from .rns import (
     rns_range,
 )
 from .select import (
-    DepthSource,
     SelectionError,
     SelectionTrace,
     SelectorConfig,

@@ -263,14 +263,17 @@ class FamilySpec(NamedTuple):
     offset: int | None  # the modulus is 2^n + offset; None: no modulus (FULL)
     min_n: int
     wiring: Callable[[int], Wiring]
+    code_bits: int  # bits of an operand codeword beyond n
+    sum_bits: int  # bits of the measured sum beyond n
 
 
-# The one place that knows each family's modulus, smallest n and wiring.
+# The one place that knows each family's modulus, smallest n, wiring and
+# register widths.
 FAMILIES: dict[AdderFamily, FamilySpec] = {
-    AdderFamily.FULL: FamilySpec(None, 1, _full_wiring),
-    AdderFamily.MOD_POW2: FamilySpec(0, 1, _mod_pow2_wiring),
-    AdderFamily.MOD_POW2_MINUS1: FamilySpec(-1, 2, _mod_pow2_minus1_wiring),
-    AdderFamily.MOD_POW2_PLUS1: FamilySpec(+1, 1, _qdma_wiring),
+    AdderFamily.FULL: FamilySpec(None, 1, _full_wiring, 0, 1),
+    AdderFamily.MOD_POW2: FamilySpec(0, 1, _mod_pow2_wiring, 0, 0),
+    AdderFamily.MOD_POW2_MINUS1: FamilySpec(-1, 2, _mod_pow2_minus1_wiring, 0, 0),
+    AdderFamily.MOD_POW2_PLUS1: FamilySpec(+1, 1, _qdma_wiring, 1, 1),
 }
 
 
@@ -463,7 +466,11 @@ class AdderInstance:
 
 
 def adder_instance(circuit: Circuit) -> AdderInstance:
-    """Rebuild the harness for a circuit produced by one of the builders."""
+    """Rebuild the harness for a circuit produced by one of the builders.
+
+    The A, B and output wires must have the widths that the ``meta``
+    family and n give, or operands would be cut to the wires there are.
+    """
     try:
         family = AdderFamily(circuit.meta["family"])
         n = int(circuit.meta["n"])
@@ -473,7 +480,14 @@ def adder_instance(circuit: Circuit) -> AdderInstance:
             or not circuit.registers_tagged(TAG_OUTPUT)):
         raise ValueError("register tags do not describe an adder: it needs a "
                          "register 'B' and at least one 'output' register")
-    return AdderInstance(circuit=circuit, family=family, n=n)
+    instance = AdderInstance(circuit=circuit, family=family, n=n)
+    spec = FAMILIES[family]
+    widths = (len(instance.a_wires), len(instance.b_wires), len(instance.output_wires))
+    expected = (n + spec.code_bits, n + spec.code_bits, n + spec.sum_bits)
+    if widths != expected:
+        raise ValueError(f"A, B and output wires: {widths}, but meta "
+                         f"family={family.value} n={n} needs {expected}")
+    return instance
 
 
 # Distinct (family, n) instances make_adder keeps.  The paper's tables use

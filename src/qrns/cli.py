@@ -33,13 +33,7 @@ from .noise import (
 from .reference import MODULI_ROWS, deviation_flag, moduli_row
 from .reports import ReportDocument, build_table1, build_table2, fmt_prob
 from .rns import RnsSet, rns_range
-from .select import (
-    DepthSource,
-    SelectionError,
-    SelectorConfig,
-    explain_selection,
-    select_rns,
-)
+from .select import SelectionError, SelectorConfig, explain_selection, select_rns
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,14 +136,9 @@ def cmd_select(args) -> int:
         count=args.count,
         efficiency=args.efficiency,
         max_n=args.max_n,
-        depth_source=DepthSource(args.depth_source),
         force_pow2m1_for_3=args.force_minus1_for_3,
     )
-    try:
-        trace = explain_selection(cfg)
-    except KeyError as exc:  # a pool modulus outside the paper's depth table
-        raise UsageError(f"{exc.args[0]}; use --depth-source built for "
-                         "moduli outside the paper table") from exc
+    trace = explain_selection(cfg)
     rns = RnsSet.from_moduli(trace.final_moduli, cfg.force_pow2m1_for_3)
     if args.json:
         payload = {
@@ -301,7 +290,6 @@ def cmd_compare(args) -> int:
         noise=noise,
         seed=args.seed,
         budget=args.budget,
-        depth_source=DepthSource(args.depth_source),
     )
     _emit(document, args)
     return EXIT_OK
@@ -327,7 +315,9 @@ def _emit(document: ReportDocument, args) -> None:
 
 def cmd_calibrate(args) -> int:
     targets = []
-    wanted = set(args.rows.split(",")) if args.rows else None
+    wanted = None if args.rows is None else set(args.rows.split(","))
+    if wanted is not None and "" in wanted:
+        raise UsageError(f"--rows {args.rows!r} has an empty label ''")
     known: set[str] = set()
     for ref in MODULI_ROWS:
         labels = {f"{ref.modulus}:{ref.family.value}"}
@@ -371,7 +361,6 @@ def build_parser() -> _Parser:
     p.add_argument("--efficiency", type=float, default=0.9)
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    p.add_argument("--depth-source", choices=["built", "paper"], default="paper")
     p.add_argument("--force-minus1-for-3", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -410,7 +399,6 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=_positive_int, default=20)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth-source", choices=["built", "paper"], default="paper")
     p.add_argument("--csv", help="write rows to this CSV file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)

@@ -24,7 +24,7 @@ from .rns import (
     rns_efficiency,
     rns_range,
 )
-from .select import DepthSource, SelectorConfig, select_rns
+from .select import SelectorConfig, select_rns
 
 
 class SimulationError(ValueError):
@@ -242,8 +242,7 @@ _INFEASIBLE_SIZE = 64 + 1074
 
 def gain_report(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
                 seed: int = 0, shots_mod: int = MOD_SHOTS,
-                shots_full: int = FULL_SHOTS, budget: int = DEVICE_BUDGET,
-                depth_source: DepthSource = DepthSource.PAPER_TABLE
+                shots_full: int = FULL_SHOTS, budget: int = DEVICE_BUDGET
                 ) -> list[ComparisonRow]:
     """Compare monolithic addition to the selected residue sets per size.
 
@@ -259,8 +258,7 @@ def gain_report(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
         if size < MIN_SIZE:
             raise ValueError(f"sizes below {MIN_SIZE} leave K under the selector minimum")
         selected[size] = select_rns(SelectorConfig(
-            k=2**min(size, _INFEASIBLE_SIZE), efficiency=efficiency,
-            depth_source=depth_source))
+            k=2**min(size, _INFEASIBLE_SIZE), efficiency=efficiency))
     rows = []
     mod_probs: dict[int, float] = {}
     for size in sizes:

@@ -14,7 +14,6 @@ from .distributed import FULL_SHOTS, MOD_SHOTS, gain_report
 from .noise import NoiseModel, derive_seed, output_probability
 from .reference import MODULI_ROWS, comparison_row, deviation_flag
 from .rns import efficiency_percent
-from .select import DepthSource
 
 
 class ReportKind(Enum):
@@ -138,14 +137,12 @@ TABLE2_COLUMNS = (
 
 
 def build_table2(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
-                 seed: int, budget: int,
-                 depth_source: DepthSource = DepthSource.PAPER_TABLE,
-                 shots_mod: int = MOD_SHOTS,
+                 seed: int, budget: int, shots_mod: int = MOD_SHOTS,
                  shots_full: int = FULL_SHOTS) -> ReportDocument:
     """Monolithic-vs-distributed comparison rows for the requested sizes."""
     comparison = gain_report(sizes, efficiency, noise, seed=seed,
                              shots_mod=shots_mod, shots_full=shots_full,
-                             budget=budget, depth_source=depth_source)
+                             budget=budget)
     rows = []
     for row in comparison:
         ref = comparison_row(row.size)
@@ -171,5 +168,5 @@ def build_table2(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
         columns=TABLE2_COLUMNS,
         rows=tuple(rows),
         metadata=base_metadata(seed, noise, sizes=list(sizes), efficiency=efficiency,
-                               budget=budget, depth_source=depth_source.value),
+                               budget=budget),
     )

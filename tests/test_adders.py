@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrns.adders import (
+    FAMILIES,
     AdderFamily,
     adder_instance,
     build_adder,
@@ -377,6 +379,26 @@ def test_adder_instance_requires_register_b_and_an_output():
                       (a, Register("B", (1,), frozenset({TAG_INPUT})))]:
         with pytest.raises(ValueError, match="register 'B'"):
             adder_instance(Circuit(2, (cx(0, 1),), registers, "mod-pow2", meta))
+
+
+@pytest.mark.parametrize("family", list(AdderFamily))
+def test_adder_instance_loads_every_builders_output(family):
+    for n in range(FAMILIES[family].min_n, 12):
+        instance = adder_instance(build_adder(family, n))
+        assert (instance.family, instance.n) == (family, n)
+
+
+@pytest.mark.parametrize("family,meta", [
+    (family, {"n": "5"}) for family in AdderFamily
+] + [
+    # Same A and B widths, one output wire fewer than a full adder's.
+    (AdderFamily.MOD_POW2, {"family": "full"}),
+])
+def test_adder_instance_refuses_registers_that_disagree_with_meta(family, meta):
+    circuit = build_adder(family, 3)
+    claimed = dataclasses.replace(circuit, meta={**circuit.meta, **meta})
+    with pytest.raises(ValueError, match="A, B and output wires"):
+        adder_instance(claimed)
 
 
 @pytest.mark.parametrize("family,n", [

@@ -202,8 +202,10 @@ def test_non_positive_counts_are_usage_errors(capsys, argv):
     (("calibrate", "--rounds", "-1", "--rows", "2,4,8", "--shots", "5"),
      "--rounds: must be >= 1"),
     (("select", "--k", "1000", "--max-n", "0"), "max_n must be >= 1"),
-    (("select", "--k", "20000", "--max-n", "4"),
-     "no reference depth for modulus 15; use --depth-source built"),
+    (("calibrate", "--rows", ""), "--rows '' has an empty label ''"),
+    (("calibrate", "--rows", "2,,4"), "--rows '2,,4' has an empty label ''"),
+    (("select", "--k", "64", "--depth-source", "built"),
+     "unrecognized arguments: --depth-source built"),
 ])
 def test_bad_options_are_usage_errors(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, *argv)
@@ -214,10 +216,16 @@ def test_bad_options_are_usage_errors(capsys, argv, message):
 
 def test_select_range_beyond_2_64_is_infeasible(capsys):
     code, stdout, stderr = run_cli(capsys, "select", "--k", str(2**70),
-                                   "--max-n", "14", "--depth-source", "built")
+                                   "--max-n", "14")
     assert code == 2
     assert stdout == ""
     assert "range < 2^64" in stderr
+
+
+def test_select_ranks_moduli_beyond_the_paper_table(capsys):
+    code, stdout, _ = run_cli(capsys, "select", "--k", "5000", "--max-n", "4")
+    assert code == 0
+    assert stdout.startswith("selected (5, 8, 9, 17)")
 
 
 def test_dqc_add_small_k_is_usage_error(capsys):
@@ -287,6 +295,21 @@ def test_run_circuit_file_without_register_b_is_usage_error(capsys, tmp_path):
     assert code == 1
     assert stdout == ""
     assert "register 'B'" in stderr
+
+
+@pytest.mark.parametrize("operands", [("--a", "20", "--b", "9"), ()])
+def test_run_circuit_file_with_a_wrong_meta_n_is_usage_error(capsys, tmp_path,
+                                                             operands):
+    # The full:3 circuit claims n=5: its 3-bit registers cannot hold 20.
+    path = tmp_path / "full3_n5.txt"
+    assert run_cli(capsys, "synth", "full", "3", "--out", str(path))[0] == 0
+    path.write_text(path.read_text().replace("# meta n=3\n", "# meta n=5\n"))
+    code, stdout, stderr = run_cli(capsys, "run", "--circuit", str(path),
+                                   "--noise", "zero", "--shots", "2", *operands)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("qrns: error: --circuit ")
+    assert "A, B and output wires: (3, 3, 4), but meta family=full n=5" in stderr
 
 
 def test_dqc_add_reports_correct_outcome_probability(capsys):

@@ -15,7 +15,6 @@ from qrns.distributed import (
 )
 from qrns.noise import DEFAULT_NOISE, NoiseModel
 from qrns.rns import RnsSet
-from qrns.select import DepthSource
 
 
 RNS345 = RnsSet.from_moduli((3, 4, 5))
@@ -204,10 +203,3 @@ def test_gain_report_reference_shapes():
 def test_gain_report_rejects_small_sizes():
     with pytest.raises(ValueError):
         gain_report([5], efficiency=0.9, noise=NoiseModel.zero(), seed=1)
-
-
-def test_gain_report_built_depth_source():
-    rows = gain_report([8], efficiency=0.9, noise=NoiseModel.zero(), seed=1,
-                       shots_mod=5, shots_full=5,
-                       depth_source=DepthSource.BUILT)
-    assert rows[0].rns.moduli == (5, 8, 9)

@@ -2,7 +2,6 @@ import json
 
 from qrns.noise import DEFAULT_NOISE, NoiseModel
 from qrns.reports import ReportKind, build_table1, build_table2
-from qrns.select import DepthSource
 
 
 def test_table1_rows_reproducible_from_metadata():
@@ -43,12 +42,5 @@ def test_table2_reference_columns_and_na():
     assert last_columns["reported_mono_probability"] is None
     payload = json.loads(document.to_json())
     assert payload["metadata"]["efficiency"] == 0.9
-    assert payload["metadata"]["depth_source"] == "paper"
-
-
-def test_table2_built_depth_source_matches_reference_sets():
-    document = build_table2([7], efficiency=0.9, noise=NoiseModel.zero(),
-                            seed=1, budget=20, shots_mod=2, shots_full=2,
-                            depth_source=DepthSource.BUILT)
-    assert dict(zip(document.columns, document.rows[0]))["rns_set"] == "(4, 5, 9)"
+    assert "depth_source" not in payload["metadata"]
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qrns import select
 from qrns.adders import build_adder, family_for_modulus
+from qrns.reference import MODULI_ROWS
 from qrns.resources import resource_report
 from qrns.rns import RANGE_LIMIT, rns_range
 from qrns.select import (
     C_CEILING,
     Candidate,
-    DepthSource,
     SelectionError,
     SelectorConfig,
     _sort_key,
@@ -47,7 +48,7 @@ def test_reference_selections(k, expected):
 ])
 def test_built_depth_is_the_built_adders_toffoli_depth(modulus, force):
     circuit = build_adder(*family_for_modulus(modulus, force))
-    assert toffoli_depth_of(modulus, DepthSource.BUILT, force) == \
+    assert toffoli_depth_of(modulus, force_pow2m1_for_3=force) == \
         resource_report(circuit).toffoli_depth
 
 
@@ -55,27 +56,33 @@ def test_full_efficiency_selection():
     assert select_rns(SelectorConfig(k=2**6, efficiency=1.0)).moduli == (3, 5, 8)
 
 
-def test_selection_identical_under_built_depths():
-    for k in GOLDEN_SETS:
-        cfg = SelectorConfig(k=k, depth_source=DepthSource.BUILT)
-        assert select_rns(cfg).moduli == GOLDEN_SETS[k]
+def _selection_or_error(cfg: SelectorConfig):
+    try:
+        return select_rns(cfg).moduli
+    except SelectionError as exc:
+        return str(exc)
 
 
-@pytest.mark.parametrize("modulus,depth", [
-    (2, 0), (3, 4), (4, 1), (5, 6), (7, 12), (8, 3), (9, 9),
-])
-def test_reference_depth_table(modulus, depth):
-    assert toffoli_depth_of(modulus, DepthSource.PAPER_TABLE) == depth
+def test_paper_depths_select_the_same_sets_at_max_n_3(monkeypatch):
+    # The paper's Table-1 depths pick the same set as the built depths in
+    # every max_n = 3 configuration of this grid, so the built circuits
+    # alone reproduce the paper's selections.
+    ks = [*range(50, 1199, 7), *(2**e for e in range(6, 16))]
+    configs = [SelectorConfig(k=k, count=count, efficiency=efficiency,
+                              force_pow2m1_for_3=force)
+               for k in ks for efficiency in (0.5, 0.9, 1.0)
+               for count in (2, 3, 4) for force in (False, True)]
+    built = [_selection_or_error(cfg) for cfg in configs]
+    paper = {(row.modulus, row.family): row.toffoli_depth for row in MODULI_ROWS}
 
+    def paper_depth(modulus, source, force_pow2m1_for_3=False):
+        family, _ = family_for_modulus(modulus, force_pow2m1_for_3)
+        return paper[(modulus, family)]
 
-def test_depth_of_unknown_modulus():
-    with pytest.raises(KeyError):
-        toffoli_depth_of(15, DepthSource.PAPER_TABLE)
-
-
-def test_forced_minus1_depth_for_3():
-    assert toffoli_depth_of(3, DepthSource.PAPER_TABLE,
-                            force_pow2m1_for_3=True) == 6
+    monkeypatch.setattr(select, "toffoli_depth_of", paper_depth)
+    assert SelectorConfig(k=64).depth_of(7) == 12  # the built adder's is 14
+    assert [_selection_or_error(cfg) for cfg in configs] == built
+    assert any(isinstance(result, str) for result in built)
 
 
 def test_config_validation():
@@ -100,7 +107,8 @@ def test_trace_depth_rejection_at_256():
     trace = explain_selection(SelectorConfig(k=2**8))
     rejected = {c.moduli: c.verdict for c in trace.candidates}
     assert trace.final_moduli == (5, 8, 9)
-    assert "max Toffoli depth 12" in rejected[(5, 7, 8)]
+    # 14 is the built mod-7 adder's depth (the paper's table gives 12).
+    assert "max Toffoli depth 14" in rejected[(5, 7, 8)]
 
 
 def test_trace_count_increment_at_1024():
@@ -207,8 +215,7 @@ def _reference_candidates(cfg: SelectorConfig) -> list[tuple[int, ...]]:
        k=st.integers(6, 62).flatmap(lambda e: st.integers(max(50, 2**(e - 1)), 2**e)),
        efficiency=st.floats(0.05, 1.0))
 def test_search_matches_brute_force(max_n, count, k, efficiency):
-    cfg = SelectorConfig(k=k, count=count, efficiency=efficiency, max_n=max_n,
-                         depth_source=DepthSource.BUILT)
+    cfg = SelectorConfig(k=k, count=count, efficiency=efficiency, max_n=max_n)
     expected = _reference_candidates(cfg)
     try:
         trace = explain_selection(cfg)
@@ -225,22 +232,20 @@ def test_search_matches_brute_force(max_n, count, k, efficiency):
     (10, 2**50, (127, 129, 257, 511, 512, 1025), 19),
 ])
 def test_built_depth_selections(max_n, k, expected, candidates):
-    trace = explain_selection(SelectorConfig(k=k, max_n=max_n,
-                                             depth_source=DepthSource.BUILT))
+    trace = explain_selection(SelectorConfig(k=k, max_n=max_n))
     assert trace.final_moduli == expected
     assert len(trace.candidates) == candidates
 
 
 def test_built_depth_selection_infeasible_at_2_56():
     with pytest.raises(SelectionError):
-        explain_selection(SelectorConfig(k=2**56, max_n=10,
-                                         depth_source=DepthSource.BUILT))
+        explain_selection(SelectorConfig(k=2**56, max_n=10))
 
 
 def test_sets_reaching_2_64_do_not_qualify():
     # Every full-coverage set for K = 2^64 reaches the limit, so the
     # winner covers E*K only partially.
-    cfg = SelectorConfig(k=2**64, max_n=12, depth_source=DepthSource.BUILT)
+    cfg = SelectorConfig(k=2**64, max_n=12)
     trace = explain_selection(cfg)
     assert trace.candidates
     assert all(c.range < RANGE_LIMIT and not c.full_coverage
@@ -250,8 +255,7 @@ def test_sets_reaching_2_64_do_not_qualify():
 
 def test_infeasible_beyond_2_64_names_the_limit():
     with pytest.raises(SelectionError, match=r"range < 2\^64"):
-        explain_selection(SelectorConfig(k=2**70, max_n=14,
-                                         depth_source=DepthSource.BUILT))
+        explain_selection(SelectorConfig(k=2**70, max_n=14))
 
 
 def test_k_beyond_the_float_range_still_selects():
@@ -261,8 +265,7 @@ def test_k_beyond_the_float_range_still_selects():
 
 
 def test_shortcut_refuses_a_range_reaching_2_64():
-    trace = explain_selection(SelectorConfig(k=2**66, efficiency=0.2, max_n=12,
-                                             depth_source=DepthSource.BUILT))
+    trace = explain_selection(SelectorConfig(k=2**66, efficiency=0.2, max_n=12))
     assert any("shortcut rejected: range" in e and ">= 2^64" in e
                for e in trace.events)
     assert math.prod(trace.final_moduli) < RANGE_LIMIT
