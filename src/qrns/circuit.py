@@ -10,18 +10,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 
 class GateKind(Enum):
-    NOT = "x"
-    CNOT = "cx"
-    TOFFOLI = "ccx"
+    """A gate kind: ``value`` is its name in the text format and ``arity``
+    the number of qubits it acts on."""
 
+    NOT = "x", 1
+    CNOT = "cx", 2
+    TOFFOLI = "ccx", 3
 
-ARITY = {GateKind.NOT: 1, GateKind.CNOT: 2, GateKind.TOFFOLI: 3}
+    def __new__(cls, text: str, arity: int) -> GateKind:
+        kind = object.__new__(cls)
+        kind._value_ = text  # so GateKind("ccx") is the Toffoli
+        kind.arity = arity
+        return kind
+
 
 # Register tags.  A register may carry several: the sum register of an
 # in-place adder is both "input" and "output"; "pass" marks registers the
@@ -34,30 +41,49 @@ TAG_PASS = "pass"
 VALID_TAGS = frozenset({TAG_INPUT, TAG_OUTPUT, TAG_ANCILLA, TAG_PASS})
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One reversible gate: controls first, target last."""
-
+class _GateFields(NamedTuple):
     kind: GateKind
     qubits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.qubits) != ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind.name} takes {ARITY[self.kind]} qubits, got {self.qubits}"
-            )
+
+def _arity_error(kind: GateKind, qubits: tuple[int, ...]) -> ValueError:
+    return ValueError(f"{kind.name} takes {kind.arity} qubits, got {qubits}")
+
+
+class Gate(_GateFields):
+    """One reversible gate, an immutable (kind, qubits) tuple: controls
+    first, target last."""
+
+    # A subclass, because a NamedTuple may not define __new__ itself.
+    __slots__ = ()
+
+    def __new__(cls, kind: GateKind, qubits: tuple[int, ...]) -> Gate:
+        if len(qubits) != kind.arity:
+            raise _arity_error(kind, qubits)
+        return tuple.__new__(cls, (kind, qubits))
+
+    @classmethod
+    def _make(cls, iterable) -> Gate:
+        # namedtuple's _make, which _replace calls too, would skip the check.
+        return cls(*iterable)
+
+
+# x, cx and ccx fix the arity themselves, so they build the tuple directly
+# and skip the check in Gate.__new__.
+_new_tuple = tuple.__new__
+_NOT, _CNOT, _TOFFOLI = GateKind
 
 
 def x(q: int) -> Gate:
-    return Gate(GateKind.NOT, (q,))
+    return _new_tuple(Gate, (_NOT, (q,)))
 
 
 def cx(control: int, target: int) -> Gate:
-    return Gate(GateKind.CNOT, (control, target))
+    return _new_tuple(Gate, (_CNOT, (control, target)))
 
 
 def ccx(c1: int, c2: int, target: int) -> Gate:
-    return Gate(GateKind.TOFFOLI, (c1, c2, target))
+    return _new_tuple(Gate, (_TOFFOLI, (c1, c2, target)))
 
 
 @dataclass(frozen=True)
@@ -129,19 +155,30 @@ class CircuitValidationError(ValueError):
 def _violations(circuit: Circuit) -> list[str]:
     """Every invariant the circuit violates (empty when it is ok)."""
     errors: list[str] = []
-    if circuit.width < 0:
-        errors.append(f"negative width {circuit.width}")
+    width = circuit.width
+    if width < 0:
+        errors.append(f"negative width {width}")
+    # Direct comparisons by arity pass a sound gate; messages are built
+    # only for a gate that fails.
     for i, gate in enumerate(circuit.gates):
-        for q in gate.qubits:
-            if not 0 <= q < circuit.width:
-                errors.append(
-                    f"gate {i} ({gate.kind.value}): qubit {q} out of range "
-                    f"for width {circuit.width}"
-                )
-        if len(set(gate.qubits)) != len(gate.qubits):
-            errors.append(
-                f"gate {i} ({gate.kind.value}): duplicate qubit in {gate.qubits}"
-            )
+        qubits = gate.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            if 0 <= a < width and 0 <= b < width and a != b:
+                continue
+        elif len(qubits) == 3:
+            a, b, c = qubits
+            if (0 <= a < width and 0 <= b < width and 0 <= c < width
+                    and a != b and a != c and b != c):
+                continue
+        elif 0 <= qubits[0] < width:
+            continue
+        for q in qubits:
+            if not 0 <= q < width:
+                errors.append(f"gate {i} ({gate.kind.value}): qubit {q} out of range "
+                              f"for width {width}")
+        if len(set(qubits)) != len(qubits):
+            errors.append(f"gate {i} ({gate.kind.value}): duplicate qubit in {qubits}")
     # The text format stores names and meta on whitespace-split lines, so
     # these rules are what keeps every circuit readable by from_text.
     if not _is_one_line(circuit.name):
@@ -151,9 +188,9 @@ def _violations(circuit: Circuit) -> list[str]:
             errors.append(f"meta key {key!r} is empty or holds '=' or whitespace")
         if not _is_one_line(value):
             errors.append(f"meta {key!r}: value {value!r} is not one trimmed line")
-    seen: dict[int, str] = {}
+    seen: dict[int, int] = {}  # qubit -> index of the first register on it
     names: set[str] = set()
-    for reg in circuit.registers:
+    for r, reg in enumerate(circuit.registers):
         if not reg.name or _has_space(reg.name):
             errors.append(f"register name {reg.name!r} is empty or holds whitespace")
         if reg.name in names:
@@ -163,14 +200,15 @@ def _violations(circuit: Circuit) -> list[str]:
         if not reg.qubits:
             errors.append(f"register {reg.name}: no qubits")
         for q in reg.qubits:
-            if not 0 <= q < circuit.width:
+            if not 0 <= q < width:
                 errors.append(f"register {reg.name}: qubit {q} out of range")
-            elif q in seen:
-                errors.append(
-                    f"registers {seen[q]} and {reg.name} overlap on qubit {q}"
-                )
+            elif q not in seen:
+                seen[q] = r
+            elif seen[q] == r:
+                errors.append(f"register {reg.name}: qubit {q} listed twice")
             else:
-                seen[q] = reg.name
+                errors.append(f"registers {circuit.registers[seen[q]].name} and "
+                              f"{reg.name} overlap on qubit {q}")
     return errors
 
 
@@ -310,8 +348,20 @@ def to_text(circuit: Circuit) -> str:
     for reg in circuit.registers:
         tags = ",".join(sorted(reg.tags))
         lines.append(f"reg {reg.name} {_span_text(reg.qubits)} {tags}")
+    # Each qubit is converted to text once, and a gate's arity names its
+    # kind (Gate checks it; Circuit has checked that its qubits are in range).
+    names = [str(q) for q in range(circuit.width)]
+    not_text, cnot_text, toffoli_text = _NOT.value, _CNOT.value, _TOFFOLI.value
     for gate in circuit.gates:
-        lines.append(" ".join([gate.kind.value] + [str(q) for q in gate.qubits]))
+        qubits = gate.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            lines.append(f"{cnot_text} {names[a]} {names[b]}")
+        elif len(qubits) == 3:
+            a, b, c = qubits
+            lines.append(f"{toffoli_text} {names[a]} {names[b]} {names[c]}")
+        else:
+            lines.append(f"{not_text} {names[qubits[0]]}")
     return "\n".join(lines) + "\n"
 
 
@@ -352,7 +402,17 @@ def from_text(text: str) -> Circuit:
         try:
             kind = kinds.get(fields[0])
             if kind is not None:  # almost every line is a gate
-                gate = parsed[line] = Gate(kind, tuple(map(int, fields[1:])))
+                arity = len(fields) - 1
+                if arity != kind.arity:  # bad literals still raise first
+                    raise _arity_error(kind, tuple(map(int, fields[1:])))
+                # Unrolled by arity: int() per field beats tuple(map(int, ...)).
+                if arity == 2:
+                    qubits = (int(fields[1]), int(fields[2]))
+                elif arity == 3:
+                    qubits = (int(fields[1]), int(fields[2]), int(fields[3]))
+                else:
+                    qubits = (int(fields[1]),)
+                gate = parsed[line] = _new_tuple(Gate, (kind, qubits))
                 gates.append(gate)
             elif fields[0] == "qubits":
                 _check_field_count(fields, 1, 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind
+from .circuit import Circuit
 
 
 @dataclass(frozen=True)
@@ -29,22 +29,38 @@ def resource_report(circuit: Circuit) -> ResourceReport:
     Each schedule holds the last layer it used on every qubit; its depth
     is the largest of them at the end.
     """
-    every, toffolis, cnots = ([0] * circuit.width for _ in range(3))
-    # A gate's arity names its kind (Gate checks it), and a tuple index by
-    # arity is cheaper than a dict lookup by GateKind, which hashes the enum.
-    schedules = (None, (every,), (every, cnots), (every, toffolis))
+    width = circuit.width
+    every, toffolis, cnots = [0] * width, [0] * width, [0] * width
+    toffoli_count = cnot_count = not_count = 0
+    # Unrolled by arity, which names the kind (Gate checks it): each gate
+    # indexes its schedules directly, and a conditional expression takes
+    # the larger layer, which is cheaper than a call to max().
     for gate in circuit.gates:
         qubits = gate.qubits
-        for layers in schedules[len(qubits)]:
-            layer = 1 + max(map(layers.__getitem__, qubits))
-            for q in qubits:
-                layers[q] = layer
-    kinds = [gate.kind for gate in circuit.gates]
+        if len(qubits) == 2:
+            a, b = qubits
+            la, lb = every[a], every[b]
+            every[a] = every[b] = (la if la > lb else lb) + 1
+            la, lb = cnots[a], cnots[b]
+            cnots[a] = cnots[b] = (la if la > lb else lb) + 1
+            cnot_count += 1
+        elif len(qubits) == 3:
+            a, b, c = qubits
+            la, lb, lc = every[a], every[b], every[c]
+            la = la if la > lb else lb
+            every[a] = every[b] = every[c] = (la if la > lc else lc) + 1
+            la, lb, lc = toffolis[a], toffolis[b], toffolis[c]
+            la = la if la > lb else lb
+            toffolis[a] = toffolis[b] = toffolis[c] = (la if la > lc else lc) + 1
+            toffoli_count += 1
+        else:
+            every[qubits[0]] += 1
+            not_count += 1
     return ResourceReport(
-        qubit_count=circuit.width,
-        toffoli_count=kinds.count(GateKind.TOFFOLI),
-        cnot_count=kinds.count(GateKind.CNOT),
-        not_count=kinds.count(GateKind.NOT),
+        qubit_count=width,
+        toffoli_count=toffoli_count,
+        cnot_count=cnot_count,
+        not_count=not_count,
         toffoli_depth=max(toffolis, default=0),
         cnot_depth=max(cnots, default=0),
         total_depth=max(every, default=0),

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qrns.adders import (
     FAMILIES,
@@ -17,12 +19,16 @@ from qrns.adders import (
 )
 from qrns.circuit import (
     TAG_PASS,
+    Circuit,
     GateKind,
     apply_permutation_batch,
+    ccx,
+    cx,
     from_text,
     to_text,
+    x,
 )
-from qrns.resources import resource_report
+from qrns.resources import ResourceReport, resource_report
 from qrns.select import moduli_pool
 
 
@@ -246,6 +252,36 @@ def test_one_pass_depths_match_a_schedule_per_kind(family):
         for kind, depth in ((GateKind.TOFFOLI, report.toffoli_depth),
                             (GateKind.CNOT, report.cnot_depth)):
             assert depth == _layered_depth(g for g in gates if g.kind is kind)
+
+
+@st.composite
+def _random_circuits(draw):
+    """Circuits of width 0-8 and up to 60 gates, of every arity that fits."""
+    width = draw(st.integers(0, 8))
+    kinds = [st.lists(st.integers(0, width - 1), min_size=arity, max_size=arity,
+                      unique=True).map(lambda q, make=make: make(*q))
+             for arity, make in ((1, x), (2, cx), (3, ccx)) if arity <= width]
+    gates = draw(st.lists(st.one_of(kinds), max_size=60)) if kinds else []
+    return Circuit(width, tuple(gates))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_circuits())
+@example(Circuit(0))
+@example(Circuit(4))
+@example(Circuit(3, (x(0), x(2), x(0), x(1))))
+def test_one_pass_report_matches_a_schedule_per_kind_on_random_circuits(circuit):
+    gates = circuit.gates
+    kinds = [g.kind for g in gates]
+    assert resource_report(circuit) == ResourceReport(
+        qubit_count=circuit.width,
+        toffoli_count=kinds.count(GateKind.TOFFOLI),
+        cnot_count=kinds.count(GateKind.CNOT),
+        not_count=kinds.count(GateKind.NOT),
+        toffoli_depth=_layered_depth(g for g in gates if g.kind is GateKind.TOFFOLI),
+        cnot_depth=_layered_depth(g for g in gates if g.kind is GateKind.CNOT),
+        total_depth=_layered_depth(gates),
+    )
 
 
 def test_qdma_nand_stage_budget():

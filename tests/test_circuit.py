@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,10 +29,61 @@ from qrns.resources import resource_report
 
 
 def test_gate_arity_enforced():
-    with pytest.raises(ValueError):
-        Gate(GateKind.CNOT, (0,))
-    with pytest.raises(ValueError):
-        Gate(GateKind.TOFFOLI, (0, 1))
+    for kind, qubits, message in [
+        (GateKind.NOT, (0, 1), "NOT takes 1 qubits, got (0, 1)"),
+        (GateKind.CNOT, (0,), "CNOT takes 2 qubits, got (0,)"),
+        (GateKind.TOFFOLI, (0, 1), "TOFFOLI takes 3 qubits, got (0, 1)"),
+        (GateKind.TOFFOLI, (), "TOFFOLI takes 3 qubits, got ()"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            Gate(kind, qubits)
+        assert str(excinfo.value) == message
+
+
+def test_gate_kinds_carry_their_text_and_arity():
+    assert [(k.name, k.value, k.arity) for k in GateKind] == [
+        ("NOT", "x", 1), ("CNOT", "cx", 2), ("TOFFOLI", "ccx", 3)]
+    assert GateKind("ccx") is GateKind.TOFFOLI
+    assert GateKind("ccx").arity == 3
+    assert GateKind.TOFFOLI.value == "ccx"
+
+
+@pytest.mark.parametrize("quick,checked", [
+    (x(4), Gate(GateKind.NOT, (4,))),
+    (cx(0, 1), Gate(GateKind.CNOT, (0, 1))),
+    (ccx(2, 0, 1), Gate(GateKind.TOFFOLI, (2, 0, 1))),
+])
+def test_gate_helpers_equal_checked_gates(quick, checked):
+    assert quick == checked and hash(quick) == hash(checked)
+    assert type(quick) is Gate
+    assert hash(quick) == hash((checked.kind, checked.qubits))
+    assert quick.kind is checked.kind and quick.qubits == checked.qubits
+
+
+def test_gates_are_immutable():
+    gate = cx(0, 1)
+    with pytest.raises(AttributeError):
+        gate.qubits = (1, 0)
+    with pytest.raises(AttributeError):
+        gate.label = "spare"  # no instance dict either
+    # namedtuple's _replace builds a new gate, through the arity check.
+    assert gate._replace(qubits=(1, 0)) == cx(1, 0)
+    with pytest.raises(ValueError, match="CNOT takes 2 qubits"):
+        gate._replace(qubits=(1,))
+    assert gate == cx(0, 1)
+
+
+def test_gate_repr():
+    assert repr(cx(0, 1)) == "Gate(kind=<GateKind.CNOT: 'cx'>, qubits=(0, 1))"
+    assert repr(x(3)) == "Gate(kind=<GateKind.NOT: 'x'>, qubits=(3,))"
+
+
+def test_gates_and_circuits_survive_pickle():
+    gate = ccx(0, 1, 2)
+    copy = pickle.loads(pickle.dumps(gate))
+    assert copy == gate and type(copy) is Gate and copy.kind is GateKind.TOFFOLI
+    circuit = build_adder(AdderFamily.MOD_POW2_PLUS1, 3)
+    assert pickle.loads(pickle.dumps(circuit)) == circuit
 
 
 def _violations(*args, **kwargs) -> list[str]:
@@ -69,11 +122,72 @@ def test_validate_overlapping_registers():
 
 
 def test_validate_reports_every_violation():
-    errors = _violations(1, (cx(0, 0), cx(0, 5)), (
+    errors = _violations(1, (cx(0, 0), cx(0, 5), ccx(0, 0, 2), x(-1)), (
         Register("A", (0,)),
         Register("B", (0,)),
     ))
-    assert len(errors) >= 3
+    assert errors == [
+        "gate 0 (cx): duplicate qubit in (0, 0)",
+        "gate 1 (cx): qubit 5 out of range for width 1",
+        "gate 2 (ccx): qubit 2 out of range for width 1",
+        "gate 2 (ccx): duplicate qubit in (0, 0, 2)",
+        "gate 3 (x): qubit -1 out of range for width 1",
+        "registers A and B overlap on qubit 0",
+    ]
+
+
+def _gate_errors_one_qubit_at_a_time(width, gates):
+    """The gate checks of Circuit, written as a loop over each gate's qubits."""
+    errors = []
+    for i, gate in enumerate(gates):
+        for q in gate.qubits:
+            if not 0 <= q < width:
+                errors.append(
+                    f"gate {i} ({gate.kind.value}): qubit {q} out of range "
+                    f"for width {width}"
+                )
+        if len(set(gate.qubits)) != len(gate.qubits):
+            errors.append(
+                f"gate {i} ({gate.kind.value}): duplicate qubit in {gate.qubits}"
+            )
+    return errors
+
+
+# Qubits around [0, width): negative, in range and past the end, often
+# repeated within a gate.
+_ANY_QUBIT = st.integers(-2, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.lists(st.one_of(
+    st.builds(x, _ANY_QUBIT),
+    st.builds(cx, _ANY_QUBIT, _ANY_QUBIT),
+    st.builds(ccx, _ANY_QUBIT, _ANY_QUBIT, _ANY_QUBIT),
+), max_size=12))
+def test_gate_checks_match_a_per_qubit_loop(width, gates):
+    try:
+        Circuit(width, tuple(gates))
+        errors = []
+    except CircuitValidationError as exc:
+        errors = exc.errors
+    assert errors == _gate_errors_one_qubit_at_a_time(width, gates)
+
+
+def test_a_register_listing_a_qubit_twice_says_so():
+    assert _violations(3, (), (Register("A", (0, 0)),)) == [
+        "register A: qubit 0 listed twice"]
+    # Two registers that share a qubit still overlap; a shared name does
+    # not make them one register.
+    assert _violations(3, (), (Register("A", (1, 2, 1)), Register("B", (2,)))) == [
+        "register A: qubit 1 listed twice", "registers A and B overlap on qubit 2"]
+    assert _violations(3, (), (Register("A", (0,)), Register("A", (0,)))) == [
+        "register name 'A' is used twice", "registers A and A overlap on qubit 0"]
+
+
+def test_from_text_names_a_qubit_listed_twice_in_a_register():
+    with pytest.raises(CircuitValidationError) as excinfo:
+        from_text("qubits 3\nreg A 0..1,1 input\n")
+    assert excinfo.value.errors == ["register A: qubit 1 listed twice"]
 
 
 @pytest.mark.parametrize("gates,bits,expected", [
@@ -216,6 +330,9 @@ def test_from_text_rejects_garbage():
     ("qubits 3\nreg A 0..x input\n", "line 2: invalid literal"),
     ("qubits 3\nreg A 0 bogus\n", "line 2: unknown register tags"),
     ("qubits 3\n\n# note\nccx 0 1\n", "line 4: TOFFOLI takes 3 qubits"),
+    ("qubits 3\nx 0 1\n", r"line 2: NOT takes 1 qubits, got \(0, 1\)$"),
+    ("qubits 3\ncx\n", r"line 2: CNOT takes 2 qubits, got \(\)$"),
+    ("qubits 3\nccx 0 q\n", "line 2: invalid literal"),  # before the count
     ("qubits 3\ncx 0 q\n", "line 2: invalid literal"),
     ("qubits 4\nqubits 2\ncx 0 1\n", "line 2: second 'qubits' header"),
 ])
