@@ -16,12 +16,12 @@ from .adders import (
 from .circuit import (
     Circuit,
     CircuitValidationError,
-    Gate,
     GateKind,
     Register,
     ccx,
     cx,
     from_text,
+    gate_kind,
     to_text,
     x,
 )

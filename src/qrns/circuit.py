@@ -1,16 +1,18 @@
 """Gate-level IR for classical-reversible (permutation) circuits.
 
 Every representable gate (X, CNOT, Toffoli) permutes computational basis
-states, so a circuit here is always a bijection on bitstrings.  Qubit
-indexing is 0-based and bit 0 of every register is the least significant
-bit of the value it carries.
+states, so a circuit here is always a bijection on bitstrings.  A gate is
+the plain tuple of its qubits, controls first and target last: (q,) is a
+NOT, (c, t) a CNOT and (c1, c2, t) a Toffoli, so its length names its
+kind.  Qubit indexing is 0-based and bit 0 of every register is the least
+significant bit of the value it carries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,49 +43,25 @@ TAG_PASS = "pass"
 VALID_TAGS = frozenset({TAG_INPUT, TAG_OUTPUT, TAG_ANCILLA, TAG_PASS})
 
 
-class _GateFields(NamedTuple):
-    kind: GateKind
-    qubits: tuple[int, ...]
+Gate = tuple[int, ...]  # the gate's qubits; see the module docstring
+_KIND_OF_ARITY = {kind.arity: kind for kind in GateKind}
 
 
-def _arity_error(kind: GateKind, qubits: tuple[int, ...]) -> ValueError:
-    return ValueError(f"{kind.name} takes {kind.arity} qubits, got {qubits}")
-
-
-class Gate(_GateFields):
-    """One reversible gate, an immutable (kind, qubits) tuple: controls
-    first, target last."""
-
-    # A subclass, because a NamedTuple may not define __new__ itself.
-    __slots__ = ()
-
-    def __new__(cls, kind: GateKind, qubits: tuple[int, ...]) -> Gate:
-        if len(qubits) != kind.arity:
-            raise _arity_error(kind, qubits)
-        return tuple.__new__(cls, (kind, qubits))
-
-    @classmethod
-    def _make(cls, iterable) -> Gate:
-        # namedtuple's _make, which _replace calls too, would skip the check.
-        return cls(*iterable)
-
-
-# x, cx and ccx fix the arity themselves, so they build the tuple directly
-# and skip the check in Gate.__new__.
-_new_tuple = tuple.__new__
-_NOT, _CNOT, _TOFFOLI = GateKind
+def gate_kind(gate: Gate) -> GateKind:
+    """The kind of a gate of 1 to 3 qubits, named by its length."""
+    return _KIND_OF_ARITY[len(gate)]
 
 
 def x(q: int) -> Gate:
-    return _new_tuple(Gate, (_NOT, (q,)))
+    return (q,)
 
 
 def cx(control: int, target: int) -> Gate:
-    return _new_tuple(Gate, (_CNOT, (control, target)))
+    return (control, target)
 
 
 def ccx(c1: int, c2: int, target: int) -> Gate:
-    return _new_tuple(Gate, (_TOFFOLI, (c1, c2, target)))
+    return (c1, c2, target)
 
 
 @dataclass(frozen=True)
@@ -98,10 +76,6 @@ class Register:
         bad = self.tags - VALID_TAGS
         if bad:
             raise ValueError(f"unknown register tags {sorted(bad)}")
-
-    @property
-    def size(self) -> int:
-        return len(self.qubits)
 
 
 @dataclass(frozen=True)
@@ -137,8 +111,8 @@ class Circuit:
     def gate_qubits(self) -> np.ndarray:
         """(gates, 3) int64 table: row g is gate g's qubits, padded with -1."""
         table = np.full((len(self.gates), 3), -1, dtype=np.int64)
-        for g, gate in enumerate(self.gates):
-            table[g, :len(gate.qubits)] = gate.qubits
+        for g, qubits in enumerate(self.gates):
+            table[g, :len(qubits)] = qubits
         table.flags.writeable = False  # shared by every reader of the circuit
         return table
 
@@ -160,25 +134,30 @@ def _violations(circuit: Circuit) -> list[str]:
         errors.append(f"negative width {width}")
     # Direct comparisons by arity pass a sound gate; messages are built
     # only for a gate that fails.
-    for i, gate in enumerate(circuit.gates):
-        qubits = gate.qubits
-        if len(qubits) == 2:
+    for i, qubits in enumerate(circuit.gates):
+        arity = len(qubits)
+        if arity == 2:
             a, b = qubits
             if 0 <= a < width and 0 <= b < width and a != b:
                 continue
-        elif len(qubits) == 3:
+        elif arity == 3:
             a, b, c = qubits
             if (0 <= a < width and 0 <= b < width and 0 <= c < width
                     and a != b and a != c and b != c):
                 continue
-        elif 0 <= qubits[0] < width:
+        elif arity == 1:
+            if 0 <= qubits[0] < width:
+                continue
+        else:
+            errors.append(f"gate {i}: {arity} qubits {qubits}; a gate acts on 1 to 3")
             continue
+        name = gate_kind(qubits).value
         for q in qubits:
             if not 0 <= q < width:
-                errors.append(f"gate {i} ({gate.kind.value}): qubit {q} out of range "
+                errors.append(f"gate {i} ({name}): qubit {q} out of range "
                               f"for width {width}")
-        if len(set(qubits)) != len(qubits):
-            errors.append(f"gate {i} ({gate.kind.value}): duplicate qubit in {qubits}")
+        if len(set(qubits)) != arity:
+            errors.append(f"gate {i} ({name}): duplicate qubit in {qubits}")
     # The text format stores names and meta on whitespace-split lines, so
     # these rules are what keeps every circuit readable by from_text.
     if not _is_one_line(circuit.name):
@@ -254,8 +233,7 @@ def apply_permutation_batch(circuit: Circuit, states: np.ndarray,
     wire = list(states.T)
     scratch = np.empty(states.shape[0], dtype=states.dtype)
     one = np.ones((), dtype=states.dtype)
-    for g, gate in enumerate(circuit.gates):
-        q = gate.qubits
+    for g, q in enumerate(circuit.gates):
         if len(q) == 1:  # NOT
             np.bitwise_xor(wire[q[0]], one, wire[q[0]])
         elif len(q) == 2:  # CNOT
@@ -349,11 +327,11 @@ def to_text(circuit: Circuit) -> str:
         tags = ",".join(sorted(reg.tags))
         lines.append(f"reg {reg.name} {_span_text(reg.qubits)} {tags}")
     # Each qubit is converted to text once, and a gate's arity names its
-    # kind (Gate checks it; Circuit has checked that its qubits are in range).
+    # kind (Circuit has checked both).
     names = [str(q) for q in range(circuit.width)]
-    not_text, cnot_text, toffoli_text = _NOT.value, _CNOT.value, _TOFFOLI.value
-    for gate in circuit.gates:
-        qubits = gate.qubits
+    not_text, cnot_text, toffoli_text = (GateKind.NOT.value, GateKind.CNOT.value,
+                                         GateKind.TOFFOLI.value)
+    for qubits in circuit.gates:
         if len(qubits) == 2:
             a, b = qubits
             lines.append(f"{cnot_text} {names[a]} {names[b]}")
@@ -379,8 +357,8 @@ def from_text(text: str) -> Circuit:
     gates: list[Gate] = []
     kinds = {k.value: k for k in GateKind}
     # Each distinct gate line is parsed once: an adder's uncompute half
-    # repeats its compute half's lines, and a Gate is immutable, so a
-    # repeat appends the same object.  The memo lives for this call only.
+    # repeats its compute half's lines, and a gate is an immutable tuple,
+    # so a repeat appends the same object.  The memo lives for this call only.
     parsed: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -404,7 +382,8 @@ def from_text(text: str) -> Circuit:
             if kind is not None:  # almost every line is a gate
                 arity = len(fields) - 1
                 if arity != kind.arity:  # bad literals still raise first
-                    raise _arity_error(kind, tuple(map(int, fields[1:])))
+                    raise ValueError(f"{kind.name} takes {kind.arity} qubits, "
+                                     f"got {tuple(map(int, fields[1:]))}")
                 # Unrolled by arity: int() per field beats tuple(map(int, ...)).
                 if arity == 2:
                     qubits = (int(fields[1]), int(fields[2]))
@@ -412,8 +391,8 @@ def from_text(text: str) -> Circuit:
                     qubits = (int(fields[1]), int(fields[2]), int(fields[3]))
                 else:
                     qubits = (int(fields[1]),)
-                gate = parsed[line] = _new_tuple(Gate, (kind, qubits))
-                gates.append(gate)
+                parsed[line] = qubits
+                gates.append(qubits)
             elif fields[0] == "qubits":
                 _check_field_count(fields, 1, 1)
                 if width >= 0:

@@ -115,11 +115,15 @@ def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
                           job.shots, noise, job.seed, instance.output_wires)
     top_count = max(histogram.values())
     modal = sorted(bits for bits, count in histogram.items() if count == top_count)
-    # Ties break toward the smaller decoded value and are flagged.
-    decoded = sorted((instance.decode_output(bits), bits) for bits in modal
-                     if _decodable(instance, bits))
+    decoded = []
+    for bits in modal:
+        try:
+            decoded.append((instance.decode_output(bits), bits))
+        except ValueError:
+            pass  # not a legal codeword
     if decoded:
-        top_value, top_bits = decoded[0]
+        # Ties break toward the smaller decoded value and are flagged.
+        top_value, top_bits = min(decoded)
     else:
         # Modal outcome is not a legal codeword (possible under heavy
         # noise for the diminished-1 family); keep bits, mark no value.
@@ -134,14 +138,6 @@ def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
         correct_probability=histogram[job.expected_bits] / job.shots,
         tie=len(modal) > 1,
     )
-
-
-def _decodable(instance: AdderInstance, bits: int) -> bool:
-    try:
-        instance.decode_output(bits)
-    except ValueError:
-        return False
-    return True
 
 
 def execute_jobs(jobs: list[ResidueJob], workers: int,

@@ -127,10 +127,12 @@ def check_shots(shots: int) -> None:
 
 
 # Cells whose flips _flip_targets handles at once.  Its temporaries then
-# stay near 60 KB.  Whole-chunk ones grew the heap past the draw's own
-# peak, and freeing them gave back pages that the next chunk faulted in
-# again: about 100 minor faults, at about 2.4 us each, per 20,000-row
-# mod-63 chunk on a pool thread.
+# stay near 60 KB.  Whole-chunk ones grow the heap past the draw's own
+# peak, and freeing them gives back pages that the next chunk faults in
+# again, on the calling thread.  Whole-chunk targets took about 675 minor
+# faults against 1 per pass of one 20,000-shot addition on each of the
+# sets (4, 5, 7, 9), (15, 16, 17) and (63, 64, 65), and 800-990 against
+# under 10 per pass of table1 and compare 6, 8..11; both ran 5-14% slower.
 _TARGET_BLOCK = 2048
 
 
@@ -231,7 +233,8 @@ def _simulate(circuit: Circuit, inputs: np.ndarray, shots: int,
     Yields, per chunk, the index of its first input, how many of its rows
     each of its inputs has, and the measured value of every row.
     """
-    rates = np.array([noise.for_kind(gate.kind) for gate in circuit.gates])
+    rate = {kind.arity: noise.for_kind(kind) for kind in GateKind}
+    rates = np.array([rate[len(gate)] for gate in circuit.gates])
     total = inputs.shape[0] * shots
     for chunk, start in enumerate(range(0, total, CHUNK_ROWS)):
         stop = min(start + CHUNK_ROWS, total)

@@ -32,11 +32,10 @@ def resource_report(circuit: Circuit) -> ResourceReport:
     width = circuit.width
     every, toffolis, cnots = [0] * width, [0] * width, [0] * width
     toffoli_count = cnot_count = not_count = 0
-    # Unrolled by arity, which names the kind (Gate checks it): each gate
+    # Unrolled by arity, which names the kind (Circuit checks it): each gate
     # indexes its schedules directly, and a conditional expression takes
     # the larger layer, which is cheaper than a call to max().
-    for gate in circuit.gates:
-        qubits = gate.qubits
+    for qubits in circuit.gates:
         if len(qubits) == 2:
             a, b = qubits
             la, lb = every[a], every[b]

@@ -25,6 +25,7 @@ from qrns.circuit import (
     ccx,
     cx,
     from_text,
+    gate_kind,
     to_text,
     x,
 )
@@ -218,7 +219,7 @@ def test_mod_pow2_resources_are_exact():
 def test_mod2_circuit_is_a_single_cnot():
     circuit = build_adder(AdderFamily.MOD_POW2, 1)
     assert len(circuit.gates) == 1
-    assert circuit.gates[0].kind is GateKind.CNOT
+    assert gate_kind(circuit.gates[0]) is GateKind.CNOT
 
 
 def test_qdma_resources_are_exact():
@@ -236,8 +237,8 @@ def _layered_depth(gates):
     last_layer = {}
     depth = 0
     for gate in gates:
-        layer = 1 + max((last_layer.get(q, 0) for q in gate.qubits), default=0)
-        for q in gate.qubits:
+        layer = 1 + max((last_layer.get(q, 0) for q in gate), default=0)
+        for q in gate:
             last_layer[q] = layer
         depth = max(depth, layer)
     return depth
@@ -251,7 +252,7 @@ def test_one_pass_depths_match_a_schedule_per_kind(family):
         assert report.total_depth == _layered_depth(gates)
         for kind, depth in ((GateKind.TOFFOLI, report.toffoli_depth),
                             (GateKind.CNOT, report.cnot_depth)):
-            assert depth == _layered_depth(g for g in gates if g.kind is kind)
+            assert depth == _layered_depth(g for g in gates if gate_kind(g) is kind)
 
 
 @st.composite
@@ -272,14 +273,14 @@ def _random_circuits(draw):
 @example(Circuit(3, (x(0), x(2), x(0), x(1))))
 def test_one_pass_report_matches_a_schedule_per_kind_on_random_circuits(circuit):
     gates = circuit.gates
-    kinds = [g.kind for g in gates]
+    kinds = [gate_kind(g) for g in gates]
     assert resource_report(circuit) == ResourceReport(
         qubit_count=circuit.width,
         toffoli_count=kinds.count(GateKind.TOFFOLI),
         cnot_count=kinds.count(GateKind.CNOT),
         not_count=kinds.count(GateKind.NOT),
-        toffoli_depth=_layered_depth(g for g in gates if g.kind is GateKind.TOFFOLI),
-        cnot_depth=_layered_depth(g for g in gates if g.kind is GateKind.CNOT),
+        toffoli_depth=_layered_depth(g for g in gates if gate_kind(g) is GateKind.TOFFOLI),
+        cnot_depth=_layered_depth(g for g in gates if gate_kind(g) is GateKind.CNOT),
         total_depth=_layered_depth(gates),
     )
 
@@ -318,7 +319,7 @@ def test_mod_pow2_has_no_carry_wire():
     for n in (1, 2, 3, 4):
         circuit = build_adder(AdderFamily.MOD_POW2, n)
         assert circuit.width == 2 * n
-        touched = {q for g in circuit.gates for q in g.qubits}
+        touched = {q for g in circuit.gates for q in g}
         assert touched <= set(range(2 * n))
 
 

@@ -13,6 +13,7 @@ from qrns.circuit import (
     apply_permutation_batch,
     ccx,
     cx,
+    gate_kind,
     read_dtype,
     read_value,
     x,
@@ -56,16 +57,16 @@ def exact_output_probability(instance, noise):
     probs = np.zeros((len(pairs), index.size))
     probs[np.arange(len(pairs)), start] = 1.0
     for gate in circuit.gates:
-        *controls, target = gate.qubits
+        *controls, target = gate
         fire = np.ones(index.size, dtype=np.int64)
         for c in controls:
             fire &= bit(c)
         probs = probs[:, index ^ (fire << target)]  # the gate is an involution
-        p = noise.for_kind(gate.kind)
+        p = noise.for_kind(gate_kind(gate))
         if p:
             masks = [sum(1 << q for q in subset)
-                     for k in range(len(gate.qubits) + 1)
-                     for subset in itertools.combinations(gate.qubits, k)]
+                     for k in range(len(gate) + 1)
+                     for subset in itertools.combinations(gate, k)]
             mixed = sum(probs[:, index ^ m] for m in masks) / len(masks)
             probs = (1 - p) * probs + p * mixed
     out = sum(bit(w) << i for i, w in enumerate(instance.output_wires))
@@ -173,7 +174,7 @@ def test_run_shots_counts_every_rows_read_value(family, n, shots, itemsize):
     circuit, wires = instance.circuit, instance.output_wires
     assert read_dtype(wires).itemsize == itemsize
     inputs = instance.input_states([(1, instance.value_count - 2)])
-    rates = [DEFAULT_NOISE.for_kind(gate.kind) for gate in circuit.gates]
+    rates = [DEFAULT_NOISE.for_kind(gate_kind(gate)) for gate in circuit.gates]
     expected = Counter()
     for chunk, start in enumerate(range(0, shots, CHUNK_ROWS)):
         rng = np.random.Generator(np.random.PCG64(derive_seed(3, chunk)))
@@ -247,11 +248,10 @@ def per_gate_flips(circuit, states, rates, rng):
     rows = states.shape[0]
     columns = states.T.reshape(-1)
     cells, flips, bounds = _draw_errors(np.asarray(rates, dtype=float), rows, rng)
-    for g, gate in enumerate(circuit.gates):
-        q = gate.qubits
-        if gate.kind is GateKind.NOT:
+    for g, q in enumerate(circuit.gates):
+        if gate_kind(q) is GateKind.NOT:
             states[:, q[0]] ^= 1
-        elif gate.kind is GateKind.CNOT:
+        elif gate_kind(q) is GateKind.CNOT:
             states[:, q[1]] ^= states[:, q[0]]
         else:
             states[:, q[2]] ^= states[:, q[0]] & states[:, q[1]]

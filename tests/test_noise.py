@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qrns.adders import AdderFamily, dim1_encode, make_adder
-from qrns.circuit import GateKind, apply_permutation_batch, read_value
+from qrns.circuit import GateKind, apply_permutation_batch, gate_kind, read_value
 from qrns.noise import (
     DEFAULT_NOISE,
     MAX_RANDOM_PAIRS,
@@ -211,7 +211,7 @@ def test_all_builder_circuits_are_permutation_only():
                       (AdderFamily.MOD_POW2_MINUS1, 3),
                       (AdderFamily.MOD_POW2_PLUS1, 3)]:
         circuit = make_adder(family, n).circuit
-        assert all(g.kind in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
+        assert all(gate_kind(g) in (GateKind.NOT, GateKind.CNOT, GateKind.TOFFOLI)
                    for g in circuit.gates)
 
 
