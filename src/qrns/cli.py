@@ -21,7 +21,7 @@ from .adders import (
     make_adder,
 )
 from .circuit import check_readable, from_text, to_text
-from .distributed import MIN_SIZE, SimulationError, distributed_add
+from .distributed import DEVICE_BUDGET, MIN_SIZE, MOD_SHOTS, SimulationError, distributed_add
 from .noise import (
     DEFAULT_NOISE,
     NoiseModel,
@@ -396,7 +396,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="monolithic vs distributed comparison")
     p.add_argument("--sizes", type=_sizes, default="6..11", help="e.g. 6..11 or 6,8,10")
     p.add_argument("--efficiency", type=float, default=0.9)
-    p.add_argument("--budget", type=_positive_int, default=20)
+    p.add_argument("--budget", type=_positive_int, default=DEVICE_BUDGET)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write rows to this CSV file")
@@ -404,7 +404,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("table1", help="reference moduli-adder report")
-    p.add_argument("--shots", type=_positive_int, default=100)
+    p.add_argument("--shots", type=_positive_int, default=MOD_SHOTS)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write rows to this CSV file")

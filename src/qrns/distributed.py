@@ -80,7 +80,6 @@ class DistributedSum:
     reconstructed: int
     set_output_probability: float
     end_to_end_probability: float
-    any_tie: bool
 
 
 def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
@@ -192,7 +191,6 @@ def aggregate(results: list[JobResult], rns: RnsSet) -> DistributedSum:
         reconstructed=crt_reconstruct(ResidueVector(rns, tuple(residues))),
         set_output_probability=min(probs),
         end_to_end_probability=end_to_end,
-        any_tie=any(r.tie for r in ordered),
     )
 
 

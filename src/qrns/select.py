@@ -106,16 +106,11 @@ class Candidate:
     full_coverage: bool
     verdict: str
 
-    @property
-    def moduli_sum(self) -> int:
-        return sum(self.moduli)
-
 
 @dataclass
 class SelectionTrace:
     """Ordered audit of the staged selection."""
 
-    config: SelectorConfig
     events: list[str] = field(default_factory=list)
     candidates: list[Candidate] = field(default_factory=list)
     final_moduli: tuple[int, ...] = ()
@@ -155,78 +150,72 @@ def _exact_power_shortcut(cfg: SelectorConfig, trace: SelectionTrace) -> tuple[i
     return None
 
 
-def _sort_key(c: Candidate) -> tuple:
-    return (not c.full_coverage, c.max_depth, c.moduli_sum, c.moduli)
-
-
-def _coprime_subsets(pool: tuple[int, ...], count: int,
-                     threshold: float) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (moduli, product) for every pairwise-coprime `count`-subset of
-    the ascending `pool` with threshold <= product < 2^64, in lexicographic
-    order.
+def _coprime_subsets(pool: tuple[int, ...], top: list[int], need: int,
+                     threshold: float, start: int = 0, chosen: tuple[int, ...] = (),
+                     product: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (moduli, product) for every pairwise-coprime extension of
+    `chosen` by `need` moduli of the ascending `pool` from index `start` on,
+    with threshold <= product < 2^64, in lexicographic order.
 
     A depth-first search: a partial set is extended only by later moduli
     coprime to its product, a branch is cut when even the largest moduli
-    left cannot lift its product to the threshold, and a loop stops once
-    the product reaches 2^64, because later moduli are larger.
+    left cannot lift its product to the threshold (top[j] is the product of
+    the j largest pool moduli), and a loop stops once the product reaches
+    2^64, because later moduli are larger.
     """
-    # top[j]: product of the j largest pool moduli, an upper bound on any
-    # j further choices.
+    for i in range(start, len(pool) - need + 1):
+        m = pool[i]
+        total = product * m
+        if total >= RANGE_LIMIT:
+            return
+        if total * top[need - 1] < threshold or math.gcd(product, m) != 1:
+            continue
+        if need == 1:
+            yield chosen + (m,), total
+        else:
+            yield from _coprime_subsets(pool, top, need - 1, threshold,
+                                        i + 1, chosen + (m,), total)
+
+
+# A ranked set: (partial coverage, max depth, moduli sum, moduli, range).
+# Tuple order is the ranking; the moduli make it total.
+_Ranked = tuple[bool, int, int, tuple[int, ...], int]
+
+
+def _verdict(cand: _Ranked, best: _Ranked) -> str:
+    """Why `cand` is selected or loses to `best`, on the first key that differs."""
+    if cand is best:
+        return "selected"
+    partial, depth, moduli_sum, _, total = cand
+    best_partial, best_depth, best_sum, best_moduli, _ = best
+    if partial and not best_partial:
+        return f"rejected: partial coverage (range {total} < K)"
+    if depth > best_depth:
+        return f"rejected: max Toffoli depth {depth} > {best_depth} of {best_moduli}"
+    if moduli_sum > best_sum:
+        return f"rejected: larger moduli sum {moduli_sum} > {best_sum}"
+    return "rejected: lexicographic tie-break"
+
+
+def _enumerate(cfg: SelectorConfig, count: int,
+               trace: SelectionTrace) -> tuple[int, ...] | None:
+    pool, threshold = cfg.pool, cfg.threshold
     top = [1]
     for m in reversed(pool):
         top.append(top[-1] * m)
-
-    def extend(start: int, chosen: tuple[int, ...],
-               product: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        need = count - len(chosen)
-        for i in range(start, len(pool) - need + 1):
-            m = pool[i]
-            total = product * m
-            if total >= RANGE_LIMIT:
-                return
-            if total * top[need - 1] < threshold or math.gcd(product, m) != 1:
-                continue
-            if need == 1:
-                yield chosen + (m,), total
-            else:
-                yield from extend(i + 1, chosen + (m,), total)
-
-    return extend(0, (), 1)
-
-
-def _enumerate(cfg: SelectorConfig, count: int, trace: SelectionTrace) -> Candidate | None:
-    qualifying: list[Candidate] = []
-    for combo, total in _coprime_subsets(cfg.pool, count, cfg.threshold):
-        qualifying.append(Candidate(
-            moduli=combo,
-            range=total,
-            max_depth=max(cfg.depth_of(m) for m in combo),
-            full_coverage=total >= cfg.k,
-            verdict="",
-        ))
-    if not qualifying:
-        trace.log(f"C={count}: no pairwise-coprime subset reaches E*K = {cfg.threshold:g}")
+    ranked: list[_Ranked] = sorted(
+        (total < cfg.k, max(map(cfg.depth_of, moduli)), sum(moduli), moduli, total)
+        for moduli, total in _coprime_subsets(pool, top, count, threshold))
+    if not ranked:
+        trace.log(f"C={count}: no pairwise-coprime subset reaches E*K = {threshold:g}")
         return None
-    qualifying.sort(key=_sort_key)
-    best = qualifying[0]
-    for cand in qualifying:
-        if cand is best:
-            verdict = "selected"
-        elif best.full_coverage and not cand.full_coverage:
-            verdict = f"rejected: partial coverage (range {cand.range} < K)"
-        elif cand.max_depth > best.max_depth:
-            verdict = (f"rejected: max Toffoli depth {cand.max_depth} > "
-                       f"{best.max_depth} of {best.moduli}")
-        elif cand.moduli_sum > best.moduli_sum:
-            verdict = f"rejected: larger moduli sum {cand.moduli_sum} > {best.moduli_sum}"
-        else:
-            verdict = "rejected: lexicographic tie-break"
-        final = Candidate(cand.moduli, cand.range, cand.max_depth,
-                          cand.full_coverage, verdict)
-        trace.candidates.append(final)
-        trace.log(f"C={count}: {final.moduli} range={final.range} "
-                  f"maxTdepth={final.max_depth} -> {verdict}")
-    return best
+    best = ranked[0]
+    for cand in ranked:
+        partial, depth, _, moduli, total = cand
+        verdict = _verdict(cand, best)
+        trace.candidates.append(Candidate(moduli, total, depth, not partial, verdict))
+        trace.log(f"C={count}: {moduli} range={total} maxTdepth={depth} -> {verdict}")
+    return best[3]
 
 
 def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
@@ -234,7 +223,7 @@ def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
     # Decided on the exact product: such a K may not even convert to a float.
     if Fraction(cfg.efficiency) * cfg.k >= RANGE_LIMIT:
         raise SelectionError("range >= E*K and range < 2^64, but E*K >= 2^64")
-    trace = SelectionTrace(config=cfg)
+    trace = SelectionTrace()
     shortcut = _exact_power_shortcut(cfg, trace)
     if shortcut is not None:
         trace.final_moduli = tuple(sorted(shortcut))
@@ -243,7 +232,7 @@ def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
     while count <= C_CEILING:
         best = _enumerate(cfg, count, trace)
         if best is not None:
-            trace.final_moduli = tuple(sorted(best.moduli))
+            trace.final_moduli = tuple(sorted(best))
             return trace
         count += 1
         if count <= C_CEILING:

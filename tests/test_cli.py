@@ -228,6 +228,71 @@ def test_select_ranks_moduli_beyond_the_paper_table(capsys):
     assert stdout.startswith("selected (5, 8, 9, 17)")
 
 
+# Whole outputs, pinned byte for byte: every event, candidate and verdict.
+PINNED_SELECT_OUTPUTS = {
+    ("--k", "1024", "--trace"): """\
+selected (4, 5, 7, 9) (range 1260)
+  K=1024 is not an exact power 2^(3h) with h >= 2; enumerating
+  C=3: no pairwise-coprime subset reaches E*K = 921.6
+  incrementing moduli count to C=4
+  C=4: (4, 5, 7, 9) range=1260 maxTdepth=14 -> selected
+  C=4: (5, 7, 8, 9) range=2520 maxTdepth=14 -> rejected: larger moduli sum 29 > 25
+""",
+    ("--k", "5000", "--max-n", "4", "--trace"): """\
+selected (5, 8, 9, 17) (range 6120)
+  K=5000 is not an exact power 2^(3h) with h >= 2; enumerating
+  C=3: no pairwise-coprime subset reaches E*K = 4500
+  incrementing moduli count to C=4
+  C=4: (5, 8, 9, 17) range=6120 maxTdepth=12 -> selected
+  C=4: (5, 9, 16, 17) range=12240 maxTdepth=12 -> rejected: larger moduli sum 47 > 39
+  C=4: (5, 7, 9, 16) range=5040 maxTdepth=14 -> rejected: max Toffoli depth 14 > 12 of (5, 8, 9, 17)
+  C=4: (5, 7, 9, 17) range=5355 maxTdepth=14 -> rejected: max Toffoli depth 14 > 12 of (5, 8, 9, 17)
+  C=4: (7, 8, 9, 17) range=8568 maxTdepth=14 -> rejected: max Toffoli depth 14 > 12 of (5, 8, 9, 17)
+  C=4: (3, 7, 16, 17) range=5712 maxTdepth=14 -> rejected: max Toffoli depth 14 > 12 of (5, 8, 9, 17)
+  C=4: (5, 7, 16, 17) range=9520 maxTdepth=14 -> rejected: max Toffoli depth 14 > 12 of (5, 8, 9, 17)
+  C=4: (7, 9, 16, 17) range=17136 maxTdepth=14 -> rejected: max Toffoli depth 14 > 12 of (5, 8, 9, 17)
+  C=4: (4, 7, 15, 17) range=7140 maxTdepth=20 -> rejected: max Toffoli depth 20 > 12 of (5, 8, 9, 17)
+  C=4: (7, 8, 15, 17) range=14280 maxTdepth=20 -> rejected: max Toffoli depth 20 > 12 of (5, 8, 9, 17)
+  C=4: (7, 15, 16, 17) range=28560 maxTdepth=20 -> rejected: max Toffoli depth 20 > 12 of (5, 8, 9, 17)
+  C=4: (5, 7, 8, 17) range=4760 maxTdepth=14 -> rejected: partial coverage (range 4760 < K)
+""",
+    ("--k", "1024", "--json"): """\
+{
+  "efficiency": 0.9,
+  "k": 1024,
+  "moduli": [
+    4,
+    5,
+    7,
+    9
+  ],
+  "range": 1260,
+  "trace": [
+    "K=1024 is not an exact power 2^(3h) with h >= 2; enumerating",
+    "C=3: no pairwise-coprime subset reaches E*K = 921.6",
+    "incrementing moduli count to C=4",
+    "C=4: (4, 5, 7, 9) range=1260 maxTdepth=14 -> selected",
+    "C=4: (5, 7, 8, 9) range=2520 maxTdepth=14 -> rejected: larger moduli sum 29 > 25"
+  ]
+}
+""",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_SELECT_OUTPUTS, ids=" ".join)
+def test_select_output_is_pinned(capsys, argv):
+    assert run_cli(capsys, "select", *argv) == (0, PINNED_SELECT_OUTPUTS[argv], "")
+
+
+def test_select_infeasible_message_is_pinned(capsys):
+    pool = ", ".join(map(str, (2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                                 127, 128, 129, 255, 256, 257, 511, 512, 513,
+                                 1023, 1024, 1025)))
+    assert run_cli(capsys, "select", "--k", str(2**56), "--max-n", "10") == (
+        2, "", "qrns: infeasible selection: no qualifying moduli set: "
+        f"range >= E*K = 6.48518e+16 and range < 2^64 with pool ({pool}) and C <= 6\n")
+
+
 def test_dqc_add_small_k_is_usage_error(capsys):
     code, _, stderr = run_cli(capsys, "dqc-add", "--a", "1", "--b", "2",
                               "--k", "10")

@@ -56,7 +56,7 @@ def test_zero_noise_top_outcomes_decode_to_residue_sums():
     assert summed.reconstructed == 42
     assert summed.set_output_probability == 1.0
     assert summed.end_to_end_probability == 1.0
-    assert not summed.any_tie
+    assert not any(r.tie for r in summed.results)
 
 
 def test_worker_count_does_not_change_results():

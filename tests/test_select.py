@@ -13,10 +13,8 @@ from qrns.resources import resource_report
 from qrns.rns import RANGE_LIMIT, rns_range
 from qrns.select import (
     C_CEILING,
-    Candidate,
     SelectionError,
     SelectorConfig,
-    _sort_key,
     explain_selection,
     moduli_pool,
     select_rns,
@@ -198,14 +196,15 @@ def _coprime_combos(max_n: int, count: int) -> tuple[tuple[tuple[int, ...], int]
 def _reference_candidates(cfg: SelectorConfig) -> list[tuple[int, ...]]:
     """Qualifying subsets of the first count that has any, in trace order."""
     for count in range(cfg.count, C_CEILING + 1):
-        qualifying = [
-            Candidate(combo, total, max(cfg.depth_of(m) for m in combo),
-                      total >= cfg.k, "")
+        # Full coverage first, then the smallest worst depth, the smallest
+        # moduli sum and the lexicographically smallest set.
+        ranked = sorted(
+            (total < cfg.k, max(cfg.depth_of(m) for m in combo), sum(combo), combo)
             for combo, total in _coprime_combos(cfg.max_n, count)
             if cfg.threshold <= total < RANGE_LIMIT
-        ]
-        if qualifying:
-            return [c.moduli for c in sorted(qualifying, key=_sort_key)]
+        )
+        if ranked:
+            return [combo for *_, combo in ranked]
     return []
 
 
