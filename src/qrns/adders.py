@@ -3,7 +3,8 @@
 Families
 --------
 FULL             in-place ripple adder, n-bit inputs, (n+1)-bit sum
-MOD_POW2         (A+B) mod 2^n, carry-free variant of FULL
+MOD_POW2         (A+B) mod 2^n, the (n-1)-bit ripple core of FULL, its carry-out
+                 wired into B's top bit
 MOD_POW2_MINUS1  (A+B) mod (2^n-1), end-around-carry, two adder stages
 MOD_POW2_PLUS1   (A+B) mod (2^n+1) on diminished-1 encoded inputs
 
@@ -103,42 +104,6 @@ def _ripple_add(gates: list[Gate], xw: list[int], yw: list[int], z: int) -> None
         gates.append(cx(xw[i], yw[i]))
 
 
-def _ripple_add_carryfree(gates: list[Gate], xw: list[int], yw: list[int]) -> None:
-    """y <- (x+y) mod 2^n with x restored; no carry-out wire exists.
-
-    Same skeleton as _ripple_add with every gate whose only effect is the
-    carry-out deleted; the carry into the top bit is routed straight into
-    y[n-1] instead of through x[n-1].
-    """
-    n = len(xw)
-    if n == 1:
-        gates.append(cx(xw[0], yw[0]))
-        return
-    if n == 2:
-        gates.append(ccx(xw[0], yw[0], yw[1]))
-        gates.append(cx(xw[1], yw[1]))
-        gates.append(cx(xw[0], yw[0]))
-        return
-    for i in range(1, n - 1):
-        gates.append(cx(xw[i], yw[i]))
-    # y[n-1] collects a[n-1] xor b[n-1] xor a[n-2] up front; the Toffoli
-    # below completes the carry term, using x[n-2] before it is dirtied.
-    gates.append(cx(xw[n - 1], yw[n - 1]))
-    gates.append(cx(xw[n - 2], yw[n - 1]))
-    for i in range(n - 3, 0, -1):
-        gates.append(cx(xw[i], xw[i + 1]))
-    for i in range(n - 2):
-        gates.append(ccx(xw[i], yw[i], xw[i + 1]))
-    gates.append(ccx(xw[n - 2], yw[n - 2], yw[n - 1]))
-    for i in range(n - 2, 0, -1):
-        gates.append(cx(xw[i], yw[i]))
-        gates.append(ccx(xw[i - 1], yw[i - 1], xw[i]))
-    for i in range(1, n - 2):
-        gates.append(cx(xw[i], xw[i + 1]))
-    for i in range(n - 1):
-        gates.append(cx(xw[i], yw[i]))
-
-
 # --- wiring ---------------------------------------------------------------
 
 # What a family's wiring function gives for n: (width, gates, registers).
@@ -168,7 +133,12 @@ def _mod_pow2_wiring(n: int) -> Wiring:
     aw = list(range(n))
     bw = list(range(n, 2 * n))
     gates: list[Gate] = []
-    _ripple_add_carryfree(gates, aw, bw)
+    if n > 1:
+        _ripple_add(gates, aw[:-1], bw[:-1], bw[-1])
+    # A's top bit is never written and B's top bit only XORed from other wires,
+    # so this CNOT commutes with the core: any slot gives the same permutation.
+    # Slot max(n-2, 1) is the recorded order, so every noise draw keeps its gate.
+    gates.insert(max(n - 2, 1), cx(aw[-1], bw[-1]))
     return 2 * n, gates, (
         Register("A", tuple(aw), frozenset({TAG_INPUT, TAG_PASS})),
         Register("B", tuple(bw), frozenset({TAG_INPUT, TAG_OUTPUT})),
@@ -385,6 +355,8 @@ class AdderInstance:
     def decode_output(self, bits: int) -> int:
         if self.family is AdderFamily.MOD_POW2_PLUS1:
             return dim1_decode(bits, self.n)
+        if self.modulus is not None and bits >= self.modulus:
+            raise ValueError(f"{bits:#x} is not a residue of modulus {self.modulus}")
         return bits
 
     def expected_output_bits(self, a: int | np.ndarray,

@@ -23,6 +23,9 @@ from .adders import (
 from .circuit import check_readable, from_text, to_text
 from .distributed import DEVICE_BUDGET, MIN_SIZE, MOD_SHOTS, SimulationError, distributed_add
 from .noise import (
+    CALIBRATION_ROUNDS,
+    CALIBRATION_SEED,
+    CALIBRATION_SHOTS,
     DEFAULT_NOISE,
     NoiseModel,
     calibrate_noise,
@@ -413,9 +416,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("calibrate", help="fit a noise model to reported values")
     p.add_argument("--rows", help="comma list like '2,8,9' or '3:mod-pow2-plus1'")
-    p.add_argument("--shots", type=_positive_int, default=300)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--rounds", type=_positive_int, default=10)
+    p.add_argument("--shots", type=_positive_int, default=CALIBRATION_SHOTS)
+    p.add_argument("--seed", type=int, default=CALIBRATION_SEED)
+    p.add_argument("--rounds", type=_positive_int, default=CALIBRATION_ROUNDS)
     p.add_argument("--out", help="write the fitted model to this file")
     p.set_defaults(func=cmd_calibrate)
 

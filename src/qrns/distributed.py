@@ -119,13 +119,13 @@ def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
         try:
             decoded.append((instance.decode_output(bits), bits))
         except ValueError:
-            pass  # not a legal codeword
+            pass  # not a residue of the modulus
     if decoded:
         # Ties break toward the smaller decoded value and are flagged.
         top_value, top_bits = min(decoded)
     else:
-        # Modal outcome is not a legal codeword (possible under heavy
-        # noise for the diminished-1 family); keep bits, mark no value.
+        # Modal outcome is not a residue (possible under heavy noise for
+        # the 2^n-1 and 2^n+1 families); keep bits, mark no value.
         top_bits, top_value = modal[0], None
     return JobResult(
         job_id=job.job_id,

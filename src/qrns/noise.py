@@ -43,6 +43,10 @@ MAX_RANDOM_PAIRS = 2**16
 # Rows (input x shot) simulated at once: bounds the state array at
 # CHUNK_ROWS x width bytes, whatever the pair and shot counts.
 CHUNK_ROWS = 1 << 15
+# The defaults of `calibrate_noise`, and so of `qrns calibrate`.
+CALIBRATION_SHOTS = 300
+CALIBRATION_SEED = 7
+CALIBRATION_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -373,8 +377,8 @@ class CalibrationResult:
 
 
 def calibrate_noise(targets: Sequence[tuple[AdderInstance, float]],
-                    shots: int = 300, seed: int = 7,
-                    max_rounds: int = 12) -> CalibrationResult:
+                    shots: int = CALIBRATION_SHOTS, seed: int = CALIBRATION_SEED,
+                    max_rounds: int = CALIBRATION_ROUNDS) -> CalibrationResult:
     """Fit (p_not, p_cnot, p_toffoli) to observed output probabilities.
 
     Coordinate search minimizing the sum of squared differences between

@@ -70,6 +70,14 @@ def test_dim1_rejects_out_of_range():
         dim1_decode(0b1010, 3)  # MSB set with nonzero low bits
 
 
+def test_decode_output_rejects_the_modulus():
+    # The all-ones word of the 2^n-1 family equals its modulus: no residue.
+    instance = make_adder(AdderFamily.MOD_POW2_MINUS1, 3)
+    assert instance.decode_output(6) == 6
+    with pytest.raises(ValueError, match="0x7 is not a residue of modulus 7"):
+        instance.decode_output(7)
+
+
 # --- exhaustive oracle equivalence -----------------------------------------
 
 CASES = (
@@ -201,6 +209,23 @@ def test_builders_keep_their_recorded_text(family):
     digests = tuple(hashlib.sha256(to_text(build_adder(family, n)).encode()).hexdigest()[:16]
                     for n in range(13 - len(pinned), 13))
     assert digests == pinned
+
+
+# First 16 hex digits of the sha256 of the concatenated
+# to_text(build_adder(family, n)) for n from the family's smallest n to 64.
+BUILDER_TEXT_DIGESTS_TO_64 = {
+    AdderFamily.FULL: "a90fd4a0453493e3",
+    AdderFamily.MOD_POW2: "629af4f2362477af",
+    AdderFamily.MOD_POW2_MINUS1: "063a5baffc56e282",
+    AdderFamily.MOD_POW2_PLUS1: "5a95cb21cd2f8cd7",
+}
+
+
+@pytest.mark.parametrize("family", list(AdderFamily))
+def test_builders_keep_their_recorded_text_to_64(family):
+    text = "".join(to_text(build_adder(family, n))
+                   for n in range(FAMILIES[family].min_n, 65))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BUILDER_TEXT_DIGESTS_TO_64[family]
 
 
 # --- resource pins ----------------------------------------------------------

@@ -528,15 +528,23 @@ def test_repeated_noise_line_names_the_option(capsys, tmp_path):
     assert stderr.endswith(": line 4: repeated field 'p_not'\n")
 
 
-def test_dqc_add_undecodable_modal_outcome_is_simulation_error(capsys, tmp_path):
+@pytest.mark.parametrize("argv, modulus", [
+    # A 2^n+1 job whose modal outcome, 0x5, is no diminished-1 codeword.
+    pytest.param(("--a", "3", "--b", "4", "--k", "64", "--seed", "0", "--shots", "20"),
+                 5, id="mod-5"),
+    # A 2^n-1 job whose modal outcome is the all-ones word, the modulus.
+    pytest.param(("--a", "3", "--b", "2", "--k", "1024", "--seed", "18", "--shots", "3"),
+                 7, id="mod-7-all-ones"),
+])
+def test_dqc_add_undecodable_modal_outcome_is_simulation_error(capsys, tmp_path,
+                                                               argv, modulus):
     _write_noise_files(tmp_path)
-    code, stdout, stderr = run_cli(capsys, "dqc-add", "--a", "3", "--b", "4",
-                                   "--k", "64", "--noise", str(tmp_path / "all_ones.txt"),
-                                   "--seed", "0", "--shots", "20")
+    code, stdout, stderr = run_cli(capsys, "dqc-add", *argv,
+                                   "--noise", str(tmp_path / "all_ones.txt"))
     assert code == 3
     assert stdout == ""
-    assert "qrns: simulation error: modulus 5: modal outcome 0x5 is not a " \
-           "decodable codeword" in stderr
+    assert f"qrns: simulation error: modulus {modulus}: modal outcome {modulus:#x} " \
+           "is not a decodable codeword" in stderr
 
 
 def test_compare_budget_below_one_is_usage_error(capsys):
