@@ -316,6 +316,20 @@ class AdderInstance:
     family: AdderFamily
     n: int
 
+    def __post_init__(self) -> None:
+        # The A, B and output wires must have the widths that the family
+        # and n give, or operands would be cut to the wires there are.
+        if ("B" not in {reg.name for reg in self.circuit.registers}
+                or not self.circuit.registers_tagged(TAG_OUTPUT)):
+            raise ValueError("register tags do not describe an adder: it needs a "
+                             "register 'B' and at least one 'output' register")
+        spec = FAMILIES[self.family]
+        widths = (len(self.a_wires), len(self.b_wires), len(self.output_wires))
+        expected = (self.n + spec.code_bits, self.n + spec.code_bits, self.n + spec.sum_bits)
+        if widths != expected:
+            raise ValueError(f"A, B and output wires: {widths}, but meta "
+                             f"family={self.family.value} n={self.n} needs {expected}")
+
     @property
     def modulus(self) -> int | None:
         return family_modulus(self.family, self.n)
@@ -407,18 +421,11 @@ class AdderInstance:
         wires and every other wire at zero.
 
         This is the one operand packer: every noiseless and noisy run
-        starts from its rows, or from those of its packing step
-        ``_pack_operands``, which ``output_probability`` calls on the pairs
-        it has already converted.  The (pairs, width) array is column-major
+        starts from its rows.  The (pairs, width) array is column-major
         (F-contiguous), so each wire's column is contiguous for the gate
         loop.  Operands outside [0, value_count) raise ValueError.
         """
-        return self._pack_operands(self.operand_array(pairs))
-
-    def _pack_operands(self, operands: np.ndarray) -> np.ndarray:
-        """``input_states`` of an array that ``operand_array`` returned,
-        which is not converted or range-checked again."""
-        codes = self.encode_operand(operands)
+        codes = self.encode_operand(self.operand_array(pairs))
         columns = np.zeros((self.circuit.width, len(codes)), dtype=np.uint8)
         for wires, column in zip((self.a_wires, self.b_wires), codes.T):
             columns[wires, :] = (column >> np.arange(len(wires))[:, np.newaxis]) & 1
@@ -438,28 +445,14 @@ class AdderInstance:
 
 
 def adder_instance(circuit: Circuit) -> AdderInstance:
-    """Rebuild the harness for a circuit produced by one of the builders.
-
-    The A, B and output wires must have the widths that the ``meta``
-    family and n give, or operands would be cut to the wires there are.
-    """
+    """Rebuild the harness for a circuit produced by one of the builders,
+    from the family and n in its ``meta``."""
     try:
         family = AdderFamily(circuit.meta["family"])
         n = int(circuit.meta["n"])
     except KeyError as exc:
         raise ValueError("circuit lacks builder metadata (family, n)") from exc
-    if ("B" not in {reg.name for reg in circuit.registers}
-            or not circuit.registers_tagged(TAG_OUTPUT)):
-        raise ValueError("register tags do not describe an adder: it needs a "
-                         "register 'B' and at least one 'output' register")
-    instance = AdderInstance(circuit=circuit, family=family, n=n)
-    spec = FAMILIES[family]
-    widths = (len(instance.a_wires), len(instance.b_wires), len(instance.output_wires))
-    expected = (n + spec.code_bits, n + spec.code_bits, n + spec.sum_bits)
-    if widths != expected:
-        raise ValueError(f"A, B and output wires: {widths}, but meta "
-                         f"family={family.value} n={n} needs {expected}")
-    return instance
+    return AdderInstance(circuit=circuit, family=family, n=n)
 
 
 # Distinct (family, n) instances make_adder keeps.  The paper's tables use

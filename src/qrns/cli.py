@@ -361,9 +361,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="choose a residue moduli set")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--efficiency", type=float, default=0.9)
-    p.add_argument("--count", type=int, default=3)
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
+    p.add_argument("--efficiency", type=float, default=SelectorConfig.efficiency)
+    p.add_argument("--count", type=int, default=SelectorConfig.count)
+    p.add_argument("--max-n", type=int, default=SelectorConfig.max_n, dest="max_n")
     p.add_argument("--force-minus1-for-3", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -386,19 +386,19 @@ def build_parser() -> _Parser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--efficiency", type=float, default=0.9)
+    p.add_argument("--efficiency", type=float, default=SelectorConfig.efficiency)
     p.add_argument("--noise", default="default")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="checked (>= 1) but unused: the residue jobs run one "
                         "after another")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shots", type=_positive_int, default=100)
+    p.add_argument("--shots", type=_positive_int, default=MOD_SHOTS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dqc_add)
 
     p = sub.add_parser("compare", help="monolithic vs distributed comparison")
     p.add_argument("--sizes", type=_sizes, default="6..11", help="e.g. 6..11 or 6,8,10")
-    p.add_argument("--efficiency", type=float, default=0.9)
+    p.add_argument("--efficiency", type=float, default=SelectorConfig.efficiency)
     p.add_argument("--budget", type=_positive_int, default=DEVICE_BUDGET)
     p.add_argument("--noise", default="default")
     p.add_argument("--seed", type=int, default=0)

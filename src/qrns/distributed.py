@@ -194,8 +194,12 @@ def aggregate(results: list[JobResult], rns: RnsSet) -> DistributedSum:
     )
 
 
+MOD_SHOTS = 100    # published protocol: one hundred shots for modulo adders
+FULL_SHOTS = 200   # and two hundred for the full adders
+
+
 def distributed_add(a: int, b: int, rns: RnsSet, noise: NoiseModel,
-                    shots: int = 100, base_seed: int = 0,
+                    shots: int = MOD_SHOTS, base_seed: int = 0,
                     workers: int = 1) -> DistributedSum:
     jobs = plan_jobs(a, b, rns, shots, base_seed)
     return aggregate(execute_jobs(jobs, workers, noise), rns)
@@ -203,8 +207,6 @@ def distributed_add(a: int, b: int, rns: RnsSet, noise: NoiseModel,
 
 # --- size-by-size comparison against the monolithic adder ------------------
 
-MOD_SHOTS = 100    # published protocol: one hundred shots for modulo adders
-FULL_SHOTS = 200   # and two hundred for the full adders
 DEVICE_BUDGET = 20
 # Smallest adder size to compare: K = 2^6 is the first power of two the
 # selector accepts (K >= 50).

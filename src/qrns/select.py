@@ -45,10 +45,15 @@ class SelectionError(Exception):
 
 
 def moduli_pool(max_n: int) -> tuple[int, ...]:
-    """Candidate moduli from the modular families for n up to max_n."""
+    """Candidate moduli from the modular families for n up to max_n.
+
+    Only moduli below 2^64 are kept, since no set's range may reach it; so
+    n stops at 64 and a huge max_n costs no more than max_n = 64.
+    """
+    top_n = min(max_n, RANGE_LIMIT.bit_length() - 1)
     pool = {family_modulus(family, n) for family, spec in FAMILIES.items()
-            if spec.offset is not None for n in range(spec.min_n, max_n + 1)}
-    return tuple(sorted(pool))
+            if spec.offset is not None for n in range(spec.min_n, top_n + 1)}
+    return tuple(sorted(m for m in pool if m < RANGE_LIMIT))
 
 
 # `source` is unused: only the benchmark passes it, and the next benchmark

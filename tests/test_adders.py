@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qrns.adders import (
     FAMILIES,
     AdderFamily,
+    AdderInstance,
     adder_instance,
     build_adder,
     dim1_decode,
@@ -439,8 +440,11 @@ def test_adder_instance_requires_register_b_and_an_output():
     a = Register("A", (0,), frozenset({TAG_INPUT}))
     for registers in [(a, Register("S", (1,), frozenset({TAG_INPUT, TAG_OUTPUT}))),
                       (a, Register("B", (1,), frozenset({TAG_INPUT})))]:
+        circuit = Circuit(2, (cx(0, 1),), registers, "mod-pow2", meta)
         with pytest.raises(ValueError, match="register 'B'"):
-            adder_instance(Circuit(2, (cx(0, 1),), registers, "mod-pow2", meta))
+            adder_instance(circuit)
+        with pytest.raises(ValueError, match="register 'B'"):
+            AdderInstance(circuit, AdderFamily.MOD_POW2, 1)
 
 
 @pytest.mark.parametrize("family", list(AdderFamily))
@@ -461,6 +465,25 @@ def test_adder_instance_refuses_registers_that_disagree_with_meta(family, meta):
     claimed = dataclasses.replace(circuit, meta={**circuit.meta, **meta})
     with pytest.raises(ValueError, match="A, B and output wires"):
         adder_instance(claimed)
+
+
+@pytest.mark.parametrize("family", list(AdderFamily))
+def test_relabelled_instances_are_refused(family):
+    # The widths are checked at construction, so neither a direct call nor
+    # dataclasses.replace gives an instance whose wires disagree with its
+    # family and n.
+    def extra_bits(f):
+        return FAMILIES[f].code_bits, FAMILIES[f].sum_bits
+
+    instance = make_adder(family, 4)
+    other = next(f for f in AdderFamily if extra_bits(f) != extra_bits(family))
+    with pytest.raises(ValueError, match="A, B and output wires"):
+        dataclasses.replace(instance, n=5)
+    with pytest.raises(ValueError, match="A, B and output wires"):
+        dataclasses.replace(instance, family=other)
+    with pytest.raises(ValueError, match="A, B and output wires"):
+        AdderInstance(build_adder(family, 3), family, 4)
+    assert dataclasses.replace(instance) == instance
 
 
 @pytest.mark.parametrize("family,n", [

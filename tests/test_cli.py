@@ -293,6 +293,97 @@ def test_select_infeasible_message_is_pinned(capsys):
         f"range >= E*K = 6.48518e+16 and range < 2^64 with pool ({pool}) and C <= 6\n")
 
 
+def test_select_max_n_beyond_64_prints_what_62_prints(capsys):
+    # No modulus of 2^64 or more can be in a set, so the pool stops there and
+    # a huge --max-n costs no more memory than --max-n 64.
+    assert run_cli(capsys, "select", "--k", "100", "--max-n", "1024") == run_cli(
+        capsys, "select", "--k", "100", "--max-n", "62")
+
+
+# Whole outputs of commands and branches no other test runs, pinned byte for byte.
+PINNED_OUTPUTS = {
+    ("run", "--circuit", "mod:9", "--a", "4", "--b", "7", "--json"): """\
+{
+  "a": 4,
+  "b": 7,
+  "expected": "0001",
+  "histogram": {
+    "0000": 1,
+    "0001": 89,
+    "0010": 2,
+    "0101": 6,
+    "0110": 1,
+    "1000": 1
+  },
+  "seed": 0,
+  "shots": 100
+}
+""",
+    ("run", "--circuit", "mod:9", "--shots", "10", "--json"): """\
+{
+  "circuit": "mod:9",
+  "mean_probability": 0.852,
+  "pairs": 81,
+  "seed": 0,
+  "shots": 10,
+  "stderr_bound": 0.158114
+}
+""",
+    # Size 11 exceeds the 20-qubit device, so its monolithic columns are N.A.
+    ("compare", "--sizes", "6,11"): """\
+size  mono_qubits  mono_toffoli_depth  mono_cnot_depth  mono_probability  rns_set       efficiency_percent  max_qubits  max_toffoli_depth  max_cnot_depth  set_probability  gain_percent  reported_mono_probability  reported_set_probability  reported_gain_percent
+6     11           9                   10               0.831             (3, 4, 5)     93.75               11          6                  5               0.910            9.45          0.836                      0.931                     11.36
+11    21           19                  20               N.A.              (5, 7, 8, 9)  100                 14          14                 14              0.806            N.A.          N.A.                       0.865                     N.A.
+""",
+    # An adder outside Table 1 has no reference row, so no line is flagged.
+    ("synth", "mod-pow2", "4"): """\
+# qrns circuit v1
+# bit order: qubit i is position i of the state string (LSB first per register)
+# circuit mod-pow2
+# meta family=mod-pow2
+# meta modulus=16
+# meta n=4
+qubits 8
+reg A 0..3 input,pass
+reg B 4..7 input,output
+cx 1 5
+cx 2 6
+cx 3 7
+cx 2 7
+cx 1 2
+ccx 0 4 1
+ccx 1 5 2
+ccx 2 6 7
+cx 2 6
+ccx 1 5 2
+cx 1 5
+ccx 0 4 1
+cx 1 2
+cx 0 4
+cx 1 5
+cx 2 6
+qubits         8
+toffoli count  5
+cnot count     11
+not count      0
+toffoli depth  5
+cnot depth     6
+total depth    12
+""",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS, ids=" ".join)
+def test_output_is_pinned(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, PINNED_OUTPUTS[argv], "")
+
+
+@pytest.mark.parametrize("operand", [("--a", "4"), ("--b", "7")])
+def test_run_one_operand_is_usage_error(capsys, operand):
+    assert run_cli(capsys, "run", "--circuit", "mod:9", *operand) == (
+        1, "", "qrns: error: --a and --b must be given together\n")
+
+
 def test_dqc_add_small_k_is_usage_error(capsys):
     code, _, stderr = run_cli(capsys, "dqc-add", "--a", "1", "--b", "2",
                               "--k", "10")

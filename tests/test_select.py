@@ -36,6 +36,12 @@ def test_default_pool():
     assert moduli_pool(4) == (2, 3, 4, 5, 7, 8, 9, 15, 16, 17)
 
 
+def test_pool_stops_below_2_64():
+    # No set may hold a modulus of 2^64 or more, so a larger max_n adds none.
+    assert max(moduli_pool(200)) < 2**64
+    assert moduli_pool(200) == moduli_pool(64)
+
+
 @pytest.mark.parametrize("k,expected", sorted(GOLDEN_SETS.items()))
 def test_reference_selections(k, expected):
     assert select_rns(SelectorConfig(k=k)).moduli == expected
