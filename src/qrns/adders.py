@@ -275,12 +275,11 @@ def build_adder(family: AdderFamily, n: int) -> Circuit:
                    name=family.value, meta=meta)
 
 
-def family_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> tuple[AdderFamily, int]:
-    """Map a modulus to its adder family; smallest n wins on ambiguity.
+def family_for_modulus(m: int) -> tuple[AdderFamily, int]:
+    """Map a modulus to its one adder family; smallest n wins on ambiguity.
 
-    3 is both 2^1+1 and 2^2-1; the 2^n+1 design wins by default because it
-    uses fewer gates and less depth, but the 2^n-1 variant can be forced
-    for comparison runs.
+    3 is both 2^1+1 and 2^2-1; it is the 2^1+1 design, which has fewer
+    gates and less depth.
     """
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
@@ -290,8 +289,6 @@ def family_for_modulus(m: int, force_pow2m1_for_3: bool = False) -> tuple[AdderF
             n = (m - spec.offset).bit_length() - 1
             if n >= spec.min_n and family_modulus(family, n) == m:
                 candidates.append((n, family))
-    if m == 3 and force_pow2m1_for_3:
-        candidates = [c for c in candidates if c[1] is AdderFamily.MOD_POW2_MINUS1]
     if not candidates:
         raise ValueError(f"{m} is not of the form 2^n, 2^n-1 or 2^n+1")
     n, family = min(candidates)
@@ -318,7 +315,9 @@ class AdderInstance:
 
     def __post_init__(self) -> None:
         # The A, B and output wires must have the widths that the family
-        # and n give, or operands would be cut to the wires there are.
+        # and n give, or operands would be cut to the wires there are; and
+        # the family and n must be the ones the circuit's meta names, or an
+        # equal-width relabel would decode its outputs with another codec.
         if ("B" not in {reg.name for reg in self.circuit.registers}
                 or not self.circuit.registers_tagged(TAG_OUTPUT)):
             raise ValueError("register tags do not describe an adder: it needs a "
@@ -329,6 +328,10 @@ class AdderInstance:
         if widths != expected:
             raise ValueError(f"A, B and output wires: {widths}, but meta "
                              f"family={self.family.value} n={self.n} needs {expected}")
+        named = (self.circuit.meta.get("family"), self.circuit.meta.get("n"))
+        if named != (self.family.value, str(self.n)):
+            raise ValueError(f"family={self.family.value} n={self.n}, but the circuit's "
+                             f"meta says family={named[0]} n={named[1]}")
 
     @property
     def modulus(self) -> int | None:

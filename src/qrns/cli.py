@@ -139,10 +139,9 @@ def cmd_select(args) -> int:
         count=args.count,
         efficiency=args.efficiency,
         max_n=args.max_n,
-        force_pow2m1_for_3=args.force_minus1_for_3,
     )
     trace = explain_selection(cfg)
-    rns = RnsSet.from_moduli(trace.final_moduli, cfg.force_pow2m1_for_3)
+    rns = RnsSet.from_moduli(trace.final_moduli)
     if args.json:
         payload = {
             "k": args.k,
@@ -188,6 +187,8 @@ def cmd_run(args) -> int:
     noise = _noise_from_arg(args.noise)
     if (args.a is None) != (args.b is None):
         raise UsageError("--a and --b must be given together")
+    if args.a is not None and args.sample != "auto":
+        raise UsageError("--sample applies only without --a and --b")
     if args.a is not None:
         histogram = run_shots(instance.circuit,
                               instance.input_states([(args.a, args.b)]),
@@ -364,7 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--efficiency", type=float, default=SelectorConfig.efficiency)
     p.add_argument("--count", type=int, default=SelectorConfig.count)
     p.add_argument("--max-n", type=int, default=SelectorConfig.max_n, dest="max_n")
-    p.add_argument("--force-minus1-for-3", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_select)

@@ -35,10 +35,9 @@ class RnsSet:
             raise ValueError(f"range of {self.moduli} is 2^64 or more")
 
     @classmethod
-    def from_moduli(cls, moduli: Sequence[int],
-                    force_pow2m1_for_3: bool = False) -> "RnsSet":
+    def from_moduli(cls, moduli: Sequence[int]) -> "RnsSet":
         moduli = tuple(moduli)
-        families = tuple(family_for_modulus(m, force_pow2m1_for_3) for m in moduli)
+        families = tuple(family_for_modulus(m) for m in moduli)
         return cls(moduli=moduli, families=families)
 
     def __str__(self) -> str:

@@ -61,11 +61,10 @@ def moduli_pool(max_n: int) -> tuple[int, ...]:
 # keeping each depth once looked up makes a default selection 10-30% faster
 # than asking `make_adder` every time.
 @cache
-def toffoli_depth_of(modulus: int, source: DepthSource = DepthSource.BUILT,
-                     force_pow2m1_for_3: bool = False) -> int:
-    """Toffoli depth of the adder built for the modulus's family (3 is the
-    2^n+1 design unless the 2^n-1 variant is forced)."""
-    return make_adder(*family_for_modulus(modulus, force_pow2m1_for_3)).resources.toffoli_depth
+def toffoli_depth_of(modulus: int, source: DepthSource = DepthSource.BUILT) -> int:
+    """Toffoli depth of the one adder built for the modulus (3 is the 2^1+1
+    design)."""
+    return make_adder(*family_for_modulus(modulus)).resources.toffoli_depth
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ class SelectorConfig:
     max_n: int = 3
     # Only the benchmark sets it; the next benchmark change deletes it.
     depth_source: DepthSource = DepthSource.BUILT
-    force_pow2m1_for_3: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 50:
@@ -93,9 +91,6 @@ class SelectorConfig:
     @property
     def pool(self) -> tuple[int, ...]:
         return moduli_pool(self.max_n)
-
-    def depth_of(self, modulus: int) -> int:
-        return toffoli_depth_of(modulus, self.depth_source, self.force_pow2m1_for_3)
 
     @property
     def threshold(self) -> float:
@@ -209,7 +204,7 @@ def _enumerate(cfg: SelectorConfig, count: int,
     for m in reversed(pool):
         top.append(top[-1] * m)
     ranked: list[_Ranked] = sorted(
-        (total < cfg.k, max(map(cfg.depth_of, moduli)), sum(moduli), moduli, total)
+        (total < cfg.k, max(map(toffoli_depth_of, moduli)), sum(moduli), moduli, total)
         for moduli, total in _coprime_subsets(pool, top, count, threshold))
     if not ranked:
         trace.log(f"C={count}: no pairwise-coprime subset reaches E*K = {threshold:g}")
@@ -247,4 +242,4 @@ def explain_selection(cfg: SelectorConfig) -> SelectionTrace:
 
 
 def select_rns(cfg: SelectorConfig) -> RnsSet:
-    return RnsSet.from_moduli(explain_selection(cfg).final_moduli, cfg.force_pow2m1_for_3)
+    return RnsSet.from_moduli(explain_selection(cfg).final_moduli)

@@ -380,11 +380,6 @@ def test_family_for_modulus(modulus, family, n):
     assert family_for_modulus(modulus) == (family, n)
 
 
-def test_family_for_modulus_force_switch():
-    assert family_for_modulus(3, force_pow2m1_for_3=True) == (
-        AdderFamily.MOD_POW2_MINUS1, 2)
-
-
 def test_family_for_modulus_rejects_unsupported():
     with pytest.raises(ValueError):
         family_for_modulus(6)
@@ -413,14 +408,11 @@ def test_family_for_modulus_matches_brute_force():
     for m in range(4096):
         matches = sorted((n, family.value, family) for modulus, n, family in listed
                          if modulus == m)
-        forced = [match for match in matches
-                  if m == 3 and match[2] is AdderFamily.MOD_POW2_MINUS1] or matches
-        for force, wanted in ((False, matches), (True, forced)):
-            if wanted:
-                assert family_for_modulus(m, force) == (wanted[0][2], wanted[0][0]), m
-            else:
-                with pytest.raises(ValueError):
-                    family_for_modulus(m, force)
+        if matches:
+            assert family_for_modulus(m) == (matches[0][2], matches[0][0]), m
+        else:
+            with pytest.raises(ValueError):
+                family_for_modulus(m)
 
 
 def test_moduli_pool_matches_brute_force():
@@ -484,6 +476,17 @@ def test_relabelled_instances_are_refused(family):
     with pytest.raises(ValueError, match="A, B and output wires"):
         AdderInstance(build_adder(family, 3), family, 4)
     assert dataclasses.replace(instance) == instance
+
+
+@pytest.mark.parametrize("changes,message", [
+    # Equal wire widths, so only the meta tells these relabels apart.
+    ({"family": AdderFamily.MOD_POW2_MINUS1}, "family=mod-pow2-minus1 n=4"),
+    ({"family": AdderFamily.MOD_POW2_PLUS1, "n": 3}, "family=mod-pow2-plus1 n=3"),
+])
+def test_equal_width_relabels_are_refused(changes, message):
+    with pytest.raises(ValueError, match=f"^{message}, but the circuit's meta "
+                                         "says family=mod-pow2 n=4$"):
+        dataclasses.replace(make_adder(AdderFamily.MOD_POW2, 4), **changes)
 
 
 @pytest.mark.parametrize("family,n", [

@@ -113,6 +113,14 @@ def test_validate_negative_qubit():
     assert errors == ["gate 0 (cx): qubit -1 out of range for width 3"]
 
 
+@pytest.mark.parametrize("args,message", [
+    ((-1,), "negative width -1"),
+    ((2, (), (Register("A", (0, 5)),)), "register A: qubit 5 out of range"),
+])
+def test_validate_width_and_register_range(args, message):
+    assert _violations(*args) == [message]
+
+
 def test_validate_overlapping_registers():
     errors = _violations(3, (), (
         Register("A", (0, 1)),

@@ -335,6 +335,11 @@ size  mono_qubits  mono_toffoli_depth  mono_cnot_depth  mono_probability  rns_se
 6     11           9                   10               0.831             (3, 4, 5)     93.75               11          6                  5               0.910            9.45          0.836                      0.931                     11.36
 11    21           19                  20               N.A.              (5, 7, 8, 9)  100                 14          14                 14              0.806            N.A.          N.A.                       0.865                     N.A.
 """,
+    # A size past the paper's table has no reported columns.
+    ("compare", "--sizes", "12"): """\
+size  mono_qubits  mono_toffoli_depth  mono_cnot_depth  mono_probability  rns_set       efficiency_percent  max_qubits  max_toffoli_depth  max_cnot_depth  set_probability  gain_percent  reported_mono_probability  reported_set_probability  reported_gain_percent
+12    23           21                  22               N.A.              (15, 16, 17)  99.61               17          20                 18              0.729            N.A.          N.A.                       N.A.                      N.A.
+""",
     # An adder outside Table 1 has no reference row, so no line is flagged.
     ("synth", "mod-pow2", "4"): """\
 # qrns circuit v1
@@ -382,6 +387,13 @@ def test_output_is_pinned(capsys, argv):
 def test_run_one_operand_is_usage_error(capsys, operand):
     assert run_cli(capsys, "run", "--circuit", "mod:9", *operand) == (
         1, "", "qrns: error: --a and --b must be given together\n")
+
+
+@pytest.mark.parametrize("sample", ["5", "exhaustive"])
+def test_run_one_pair_refuses_sample(capsys, sample):
+    assert run_cli(capsys, "run", "--circuit", "mod:9", "--a", "4", "--b", "7",
+                   "--sample", sample) == (
+        1, "", "qrns: error: --sample applies only without --a and --b\n")
 
 
 def test_dqc_add_small_k_is_usage_error(capsys):

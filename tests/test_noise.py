@@ -240,6 +240,9 @@ def test_output_probability_rejects_empty_shot_and_pair_counts():
     with pytest.raises(ValueError, match="pair count"):
         output_probability(instance, NoiseModel.zero(), shots=5, seed=0,
                            sampling=0)
+    with pytest.raises(ValueError, match="bad sampling spec 'bogus'"):
+        output_probability(instance, NoiseModel.zero(), shots=5, seed=0,
+                           sampling="bogus")
 
 
 def test_more_than_63_measured_wires_are_refused():

@@ -64,8 +64,6 @@ def test_rns_set_family_tags():
         (AdderFamily.MOD_POW2, 2),
         (AdderFamily.MOD_POW2_PLUS1, 2),
     )
-    forced = RnsSet.from_moduli((3, 4, 5), force_pow2m1_for_3=True)
-    assert forced.families[0] == (AdderFamily.MOD_POW2_MINUS1, 2)
 
 
 @pytest.mark.parametrize("moduli,k,expected", [

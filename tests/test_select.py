@@ -47,13 +47,10 @@ def test_reference_selections(k, expected):
     assert select_rns(SelectorConfig(k=k)).moduli == expected
 
 
-@pytest.mark.parametrize("modulus,force", [
-    (3, False), (3, True), (7, False), (8, False), (9, False),
-])
-def test_built_depth_is_the_built_adders_toffoli_depth(modulus, force):
-    circuit = build_adder(*family_for_modulus(modulus, force))
-    assert toffoli_depth_of(modulus, force_pow2m1_for_3=force) == \
-        resource_report(circuit).toffoli_depth
+@pytest.mark.parametrize("modulus", [3, 7, 8, 9])
+def test_built_depth_is_the_built_adders_toffoli_depth(modulus):
+    circuit = build_adder(*family_for_modulus(modulus))
+    assert toffoli_depth_of(modulus) == resource_report(circuit).toffoli_depth
 
 
 def test_full_efficiency_selection():
@@ -72,19 +69,17 @@ def test_paper_depths_select_the_same_sets_at_max_n_3(monkeypatch):
     # every max_n = 3 configuration of this grid, so the built circuits
     # alone reproduce the paper's selections.
     ks = [*range(50, 1199, 7), *(2**e for e in range(6, 16))]
-    configs = [SelectorConfig(k=k, count=count, efficiency=efficiency,
-                              force_pow2m1_for_3=force)
-               for k in ks for efficiency in (0.5, 0.9, 1.0)
-               for count in (2, 3, 4) for force in (False, True)]
+    configs = [SelectorConfig(k=k, count=count, efficiency=efficiency)
+               for k in ks for efficiency in (0.5, 0.9, 1.0) for count in (2, 3, 4)]
     built = [_selection_or_error(cfg) for cfg in configs]
     paper = {(row.modulus, row.family): row.toffoli_depth for row in MODULI_ROWS}
 
-    def paper_depth(modulus, source, force_pow2m1_for_3=False):
-        family, _ = family_for_modulus(modulus, force_pow2m1_for_3)
+    def paper_depth(modulus):
+        family, _ = family_for_modulus(modulus)
         return paper[(modulus, family)]
 
     monkeypatch.setattr(select, "toffoli_depth_of", paper_depth)
-    assert SelectorConfig(k=64).depth_of(7) == 12  # the built adder's is 14
+    assert select.toffoli_depth_of(7) == 12  # the built adder's is 14
     assert [_selection_or_error(cfg) for cfg in configs] == built
     assert any(isinstance(result, str) for result in built)
 
@@ -96,6 +91,8 @@ def test_config_validation():
         SelectorConfig(k=64, efficiency=0.0)
     with pytest.raises(ValueError):
         SelectorConfig(k=64, count=1)
+    with pytest.raises(ValueError, match="moduli count must be <= 6, got 7"):
+        SelectorConfig(k=64, count=7)
     with pytest.raises(ValueError, match="max_n must be >= 1"):
         SelectorConfig(k=64, max_n=0)
 
@@ -174,14 +171,6 @@ def test_infeasible_selection_raises_with_constraint():
     assert excinfo.value.binding_constraint
 
 
-def test_forced_minus1_propagates_to_set():
-    from qrns.adders import AdderFamily
-    cfg = SelectorConfig(k=2**6, force_pow2m1_for_3=True)
-    rns = select_rns(cfg)
-    assert rns.moduli == (3, 4, 5)
-    assert rns.families[0] == (AdderFamily.MOD_POW2_MINUS1, 2)
-
-
 def test_larger_pool_feasible_for_huge_k():
     rns = select_rns(SelectorConfig(k=2**12, max_n=4))
     assert rns_range(rns) >= 0.9 * 2**12
@@ -205,7 +194,7 @@ def _reference_candidates(cfg: SelectorConfig) -> list[tuple[int, ...]]:
         # Full coverage first, then the smallest worst depth, the smallest
         # moduli sum and the lexicographically smallest set.
         ranked = sorted(
-            (total < cfg.k, max(cfg.depth_of(m) for m in combo), sum(combo), combo)
+            (total < cfg.k, max(toffoli_depth_of(m) for m in combo), sum(combo), combo)
             for combo, total in _coprime_combos(cfg.max_n, count)
             if cfg.threshold <= total < RANGE_LIMIT
         )
