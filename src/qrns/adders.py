@@ -348,8 +348,8 @@ class AdderInstance:
 
     @cached_property
     def a_wires(self) -> tuple[int, ...]:
-        return tuple(q for reg in self.circuit.registers_tagged(TAG_INPUT)
-                     if reg.name != "B" for q in reg.qubits)
+        return tuple([q for reg in self.circuit.registers_tagged(TAG_INPUT)
+                      if reg.name != "B" for q in reg.qubits])
 
     @cached_property
     def b_wires(self) -> tuple[int, ...]:
@@ -357,8 +357,8 @@ class AdderInstance:
 
     @cached_property
     def output_wires(self) -> tuple[int, ...]:
-        return tuple(q for reg in self.circuit.registers_tagged(TAG_OUTPUT)
-                     for q in reg.qubits)
+        return tuple([q for reg in self.circuit.registers_tagged(TAG_OUTPUT)
+                      for q in reg.qubits])
 
     def encode_operand(self, value: int | np.ndarray) -> int | np.ndarray:
         """Codeword of a legal operand value, elementwise on an integer array.

@@ -105,7 +105,7 @@ class Circuit:
         raise KeyError(f"no register named {name!r}")
 
     def registers_tagged(self, tag: str) -> tuple[Register, ...]:
-        return tuple(r for r in self.registers if tag in r.tags)
+        return tuple([r for r in self.registers if tag in r.tags])
 
     @cached_property
     def gate_qubits(self) -> np.ndarray:
@@ -383,7 +383,7 @@ def from_text(text: str) -> Circuit:
                 arity = len(fields) - 1
                 if arity != kind.arity:  # bad literals still raise first
                     raise ValueError(f"{kind.name} takes {kind.arity} qubits, "
-                                     f"got {tuple(map(int, fields[1:]))}")
+                                     f"got {tuple([int(field) for field in fields[1:]])}")
                 # Unrolled by arity: int() per field beats tuple(map(int, ...)).
                 if arity == 2:
                     qubits = (int(fields[1]), int(fields[2]))

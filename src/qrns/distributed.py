@@ -180,7 +180,7 @@ def aggregate(results: list[JobResult], rns: RnsSet) -> DistributedSum:
                 "not a decodable codeword"
             )
         residues.append(result.top_value)
-    ordered = tuple(by_modulus[m] for m in rns.moduli)
+    ordered = tuple([by_modulus[m] for m in rns.moduli])
     probs = [r.top_probability for r in ordered]
     end_to_end = 1.0
     for p in probs:

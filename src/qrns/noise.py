@@ -275,9 +275,10 @@ def run_shots(circuit: Circuit, inputs: np.ndarray, shots: int,
     histogram: Counter[int] = Counter()
     for _, _, values in _simulate(circuit, inputs, shots, noise, seed, measure):
         # np.unique sorts, and numpy sorts uint8, the read dtype of every
-        # residue adder, about 9x slower than uint64: 0.92 against 0.11 ms
-        # per 20,000 values (numpy 2.4).  np.bincount (0.04 ms) suits narrow
-        # reads only, so it would be a second path to save 0.07 ms a job.
+        # residue adder, 2-7x slower than uint64: 0.12-0.39 against
+        # 0.04-0.07 ms per 20,000 shots of the dqc-add job circuits (numpy
+        # 2.4).  np.bincount suits narrow reads only and, at 0.04-0.06 ms,
+        # is no faster, so it would be a second path for nothing.
         outcomes, counts = np.unique(values.astype(np.uint64, copy=False),
                                      return_counts=True)
         histogram.update(dict(zip(outcomes.tolist(), counts.tolist())))
@@ -357,7 +358,7 @@ def output_probability(instance: AdderInstance, noise: NoiseModel,
         hits[span] += np.add.reduceat(correct, np.cumsum(counts) - counts, dtype=np.int64)
     frequencies = hits / shots
     a, b = pairs.T.tolist()
-    per_pair = tuple(zip(a, b, frequencies.tolist()))
+    per_pair = tuple(list(zip(a, b, frequencies.tolist())))
     return ProbabilityEstimate(mean=float(np.mean(frequencies)), per_pair=per_pair,
                                shots=shots, seed=seed)
 

@@ -37,7 +37,7 @@ class RnsSet:
     @classmethod
     def from_moduli(cls, moduli: Sequence[int]) -> "RnsSet":
         moduli = tuple(moduli)
-        families = tuple(family_for_modulus(m) for m in moduli)
+        families = tuple([family_for_modulus(m) for m in moduli])
         return cls(moduli=moduli, families=families)
 
     def __str__(self) -> str:
@@ -77,7 +77,7 @@ class ResidueVector:
 def encode_residues(value: int, rns: RnsSet) -> ResidueVector:
     if not 0 <= value < rns_range(rns):
         raise ValueError(f"operands must lie in [0, {rns_range(rns)})")
-    return ResidueVector(rns=rns, residues=tuple(value % m for m in rns.moduli))
+    return ResidueVector(rns=rns, residues=tuple([value % m for m in rns.moduli]))
 
 
 def crt_reconstruct(rv: ResidueVector) -> int:
