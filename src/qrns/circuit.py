@@ -161,17 +161,19 @@ def _violations(circuit: Circuit) -> list[str]:
     # The text format stores names and meta on whitespace-split lines, so
     # these rules are what keeps every circuit readable by from_text.
     if not _is_one_line(circuit.name):
-        errors.append(f"circuit name {circuit.name!r} is not one trimmed line")
+        errors.append(f"circuit name {circuit.name!r} is not one trimmed line of text")
     for key, value in circuit.meta.items():
-        if not key or "=" in key or _has_space(key):
-            errors.append(f"meta key {key!r} is empty or holds '=' or whitespace")
+        if not _is_word(key) or "=" in key:
+            errors.append(f"meta key {key!r} is not a non-empty string free of "
+                          "'=' and whitespace")
         if not _is_one_line(value):
-            errors.append(f"meta {key!r}: value {value!r} is not one trimmed line")
+            errors.append(f"meta {key!r}: value {value!r} is not one trimmed line of text")
     seen: dict[int, int] = {}  # qubit -> index of the first register on it
     names: set[str] = set()
     for r, reg in enumerate(circuit.registers):
-        if not reg.name or _has_space(reg.name):
-            errors.append(f"register name {reg.name!r} is empty or holds whitespace")
+        if not _is_word(reg.name):
+            errors.append(f"register name {reg.name!r} is not a non-empty string "
+                          "free of whitespace")
         if reg.name in names:
             # register() would find only the first of them.
             errors.append(f"register name {reg.name!r} is used twice")
@@ -191,12 +193,13 @@ def _violations(circuit: Circuit) -> list[str]:
     return errors
 
 
-def _has_space(text: str) -> bool:
-    return any(c.isspace() for c in text)
+# Both take any object: a name or meta entry that is not a string fails.
+def _is_word(text: object) -> bool:
+    return isinstance(text, str) and text != "" and not any(c.isspace() for c in text)
 
 
-def _is_one_line(text: str) -> bool:
-    return text == text.strip() and len(text.splitlines()) <= 1
+def _is_one_line(text: object) -> bool:
+    return isinstance(text, str) and text == text.strip() and len(text.splitlines()) <= 1
 
 
 def apply_permutation_batch(circuit: Circuit, states: np.ndarray,

@@ -92,7 +92,7 @@ def _noise_from_arg(spec: str) -> NoiseModel:
     if spec == "default":
         return DEFAULT_NOISE
     if spec == "zero":
-        return NoiseModel.zero()
+        return NoiseModel()
     with _spec_errors("--noise", spec):
         if not Path(spec).exists():
             raise UsageError("neither default, zero, nor an existing file")
@@ -231,7 +231,7 @@ def cmd_dqc_add(args) -> int:
     rns = select_rns(SelectorConfig(k=args.k, efficiency=args.efficiency))
     noise = _noise_from_arg(args.noise)
     result = distributed_add(args.a, args.b, rns, noise, shots=args.shots,
-                             base_seed=args.seed, workers=args.workers)
+                             base_seed=args.seed)
     correct = result.reconstructed == args.a + args.b
     if args.json:
         payload = {
@@ -388,9 +388,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--efficiency", type=float, default=SelectorConfig.efficiency)
     p.add_argument("--noise", default="default")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="checked (>= 1) but unused: the residue jobs run one "
-                        "after another")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shots", type=_positive_int, default=MOD_SHOTS)
     p.add_argument("--json", action="store_true")

@@ -40,12 +40,15 @@ class ResidueJob:
     """Everything one worker (or remote QPU) needs to run its modulus."""
 
     job_id: int
-    modulus: int
     instance: AdderInstance
     a_residue: int
     b_residue: int
     shots: int
     seed: int
+
+    @property
+    def modulus(self) -> int | None:
+        return self.instance.modulus
 
     @property
     def expected_bits(self) -> int:
@@ -97,7 +100,6 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
     for index, (modulus, (family, n)) in enumerate(zip(rns.moduli, rns.families)):
         jobs.append(ResidueJob(
             job_id=index,
-            modulus=modulus,
             instance=make_adder(family, n),
             a_residue=a_residues[index],
             b_residue=b_residues[index],
@@ -146,8 +148,9 @@ def execute_jobs(jobs: list[ResidueJob], workers: int,
 
     ``workers`` is checked (>= 1) but changes nothing: a job is a
     GIL-bound chain of small numpy calls, so threads run no two jobs at
-    once and only add their overhead.  Each job carries its own seed, so
-    the results do not depend on how the jobs are scheduled.
+    once and only add their overhead.  Only the benchmark still passes it;
+    the CLI has no ``--workers``.  Each job carries its own seed, so the
+    results do not depend on the order the jobs are passed in.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -200,7 +203,7 @@ FULL_SHOTS = 200   # and two hundred for the full adders
 
 def distributed_add(a: int, b: int, rns: RnsSet, noise: NoiseModel,
                     shots: int = MOD_SHOTS, base_seed: int = 0,
-                    workers: int = 1) -> DistributedSum:
+                    workers: int = 1) -> DistributedSum:  # workers: see execute_jobs
     jobs = plan_jobs(a, b, rns, shots, base_seed)
     return aggregate(execute_jobs(jobs, workers, noise), rns)
 

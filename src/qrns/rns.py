@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,10 +21,11 @@ def is_pairwise_coprime(moduli: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class RnsSet:
-    """Pairwise-coprime moduli with the adder family serving each one."""
+    """Pairwise-coprime moduli with the adder family serving each one;
+    ``families`` comes from ``family_for_modulus`` and cannot be given."""
 
     moduli: tuple[int, ...]
-    families: tuple[tuple[AdderFamily, int], ...]
+    families: tuple[tuple[AdderFamily, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if any(m < 2 for m in self.moduli):
@@ -33,12 +34,12 @@ class RnsSet:
             raise ValueError(f"moduli are not pairwise coprime: {self.moduli}")
         if math.prod(self.moduli) >= RANGE_LIMIT:
             raise ValueError(f"range of {self.moduli} is 2^64 or more")
+        object.__setattr__(self, "families",
+                           tuple([family_for_modulus(m) for m in self.moduli]))
 
     @classmethod
     def from_moduli(cls, moduli: Sequence[int]) -> "RnsSet":
-        moduli = tuple(moduli)
-        families = tuple([family_for_modulus(m) for m in moduli])
-        return cls(moduli=moduli, families=families)
+        return cls(tuple(moduli))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(m) for m in self.moduli) + ")"

@@ -438,6 +438,10 @@ def test_text_round_trip_of_random_circuits(circuit):
     (dict(meta={"a": "c\nd"}), "not one trimmed line"),
     (dict(meta={"a": " c"}), "not one trimmed line"),
     (dict(name="x\ny"), "circuit name"),
+    (dict(name=None), "circuit name"),
+    (dict(meta={"n": 3}), "not one trimmed line"),
+    (dict(meta={3: "x"}), "meta key"),
+    (dict(registers=(Register(3, (0,)),)), "register name"),
 ])
 def test_validate_refuses_what_the_text_format_cannot_carry(circuit, message):
     errors = _violations(2, **circuit)

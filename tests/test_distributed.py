@@ -26,6 +26,15 @@ def test_plan_jobs_residues():
         (3, 2, 1), (4, 1, 1), (5, 2, 0)]
 
 
+def test_job_modulus_is_its_instances():
+    jobs = plan_jobs(10, 20, RnsSet.from_moduli((5, 8, 9)), shots=10, base_seed=1)
+    assert [j.modulus for j in jobs] == [j.instance.modulus for j in jobs] == [5, 8, 9]
+    # Swapping moduli between jobs would recombine residues under the wrong
+    # modulus; the modulus is read from the adder, so it cannot be set.
+    with pytest.raises(TypeError, match="modulus"):
+        dataclasses.replace(jobs[0], modulus=9)
+
+
 def test_plan_jobs_zero():
     jobs = plan_jobs(0, 0, RNS345, shots=10, base_seed=1)
     assert all(j.a_residue == j.b_residue == 0 for j in jobs)
@@ -50,7 +59,7 @@ def test_job_seeds_are_distinct_and_stable():
 
 def test_zero_noise_top_outcomes_decode_to_residue_sums():
     jobs = plan_jobs(17, 25, RNS345, shots=50, base_seed=3)
-    results = execute_jobs(jobs, workers=2, noise=NoiseModel.zero())
+    results = execute_jobs(jobs, workers=2, noise=NoiseModel())
     assert [r.top_value for r in results] == [0, 2, 2]  # 42 mod (3,4,5)
     summed = aggregate(results, RNS345)
     assert summed.reconstructed == 42
@@ -79,7 +88,7 @@ def test_jobs_run_in_the_callers_thread(monkeypatch):
     monkeypatch.setattr(distributed, "_run_job", recording)
     started = threading.active_count()
     results = execute_jobs(plan_jobs(17, 25, RNS345, shots=20, base_seed=1),
-                           workers=3, noise=NoiseModel.zero())
+                           workers=3, noise=NoiseModel())
     assert threads == [(job_id, threading.get_ident()) for job_id in range(3)]
     assert threading.active_count() == started
     assert [r.top_value for r in results] == [0, 2, 2]
@@ -88,7 +97,7 @@ def test_jobs_run_in_the_callers_thread(monkeypatch):
 def test_failed_job_is_isolated():
     jobs = plan_jobs(17, 25, RNS345, shots=20, base_seed=1)
     jobs[1] = dataclasses.replace(jobs[1], a_residue=99)
-    results = execute_jobs(jobs, workers=3, noise=NoiseModel.zero())
+    results = execute_jobs(jobs, workers=3, noise=NoiseModel())
     assert results[1].failed
     assert not results[0].failed and not results[2].failed
     with pytest.raises(ValueError) as excinfo:
@@ -100,7 +109,7 @@ def test_aggregate_failures_are_simulation_errors():
     assert issubclass(SimulationError, ValueError)
     assert issubclass(RangeOverflowError, SimulationError)
     results = execute_jobs(plan_jobs(17, 25, RNS345, shots=10, base_seed=1),
-                           workers=1, noise=NoiseModel.zero())
+                           workers=1, noise=NoiseModel())
     with pytest.raises(SimulationError, match="missing results for moduli"):
         aggregate(results[:2], RNS345)
     results[2] = dataclasses.replace(results[2], top_bits=0x7, top_value=None)
@@ -128,13 +137,13 @@ def test_correct_probability_reads_the_oracle_bits():
         assert result.correct_probability == (
             result.histogram[job.expected_bits] / job.shots)
         assert 0.0 < result.correct_probability <= 1.0
-    zero = execute_jobs(jobs, workers=1, noise=NoiseModel.zero())
+    zero = execute_jobs(jobs, workers=1, noise=NoiseModel())
     assert [r.correct_probability for r in zero] == [1.0, 1.0, 1.0]
 
 
 def test_single_modulus_set_aggregates_to_job_value():
     rns = RnsSet.from_moduli((5,))
-    result = distributed_add(2, 2, rns, NoiseModel.zero(), shots=30,
+    result = distributed_add(2, 2, rns, NoiseModel(), shots=30,
                              base_seed=8)
     assert result.reconstructed == 4
     assert len(result.results) == 1
@@ -152,7 +161,7 @@ def test_distributed_add_end_to_end_random_pairs():
         for _ in range(25):
             a = rng.randrange(total)
             b = rng.randrange(total - a)
-            outcome = distributed_add(a, b, rns, NoiseModel.zero(), shots=10,
+            outcome = distributed_add(a, b, rns, NoiseModel(), shots=10,
                                       base_seed=rng.randrange(2**32))
             assert outcome.reconstructed == a + b
 
@@ -166,7 +175,7 @@ def test_selector_sets_end_to_end_zero_noise():
     from qrns.select import SelectorConfig, select_rns
 
     rng = random.Random(987)
-    zero = NoiseModel.zero()
+    zero = NoiseModel()
     for size in range(6, 12):
         rns = select_rns(SelectorConfig(k=2**size))
         total = rns_range(rns)
@@ -179,7 +188,7 @@ def test_selector_sets_end_to_end_zero_noise():
 
 
 def test_gain_report_zero_noise_gains_are_zero():
-    rows = gain_report([6, 7], efficiency=0.9, noise=NoiseModel.zero(),
+    rows = gain_report([6, 7], efficiency=0.9, noise=NoiseModel(),
                        seed=1, shots_mod=5, shots_full=5)
     for row in rows:
         assert row.mono_probability == 1.0
@@ -188,7 +197,7 @@ def test_gain_report_zero_noise_gains_are_zero():
 
 
 def test_gain_report_reference_shapes():
-    rows = gain_report([6, 11], efficiency=0.9, noise=NoiseModel.zero(),
+    rows = gain_report([6, 11], efficiency=0.9, noise=NoiseModel(),
                        seed=1, shots_mod=5, shots_full=5)
     first, last = rows
     assert first.rns.moduli == (3, 4, 5)
@@ -202,4 +211,4 @@ def test_gain_report_reference_shapes():
 
 def test_gain_report_rejects_small_sizes():
     with pytest.raises(ValueError):
-        gain_report([5], efficiency=0.9, noise=NoiseModel.zero(), seed=1)
+        gain_report([5], efficiency=0.9, noise=NoiseModel(), seed=1)

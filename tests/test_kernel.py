@@ -79,7 +79,7 @@ def test_exact_helper_on_a_closed_form():
     # uniform, so every pair reads correctly half the time.
     instance = make_adder(AdderFamily.MOD_POW2, 1)
     assert exact_output_probability(instance, NoiseModel(p_cnot=1.0)) == 0.5
-    assert exact_output_probability(instance, NoiseModel.zero()) == 1.0
+    assert exact_output_probability(instance, NoiseModel()) == 1.0
 
 
 @pytest.mark.parametrize("family,n", [
@@ -156,7 +156,7 @@ def test_run_shots_over_a_chunk_boundary_totals_the_shots():
     histogram = run_shots(instance.circuit, inputs, shots, DEFAULT_NOISE, 4,
                           instance.output_wires)
     assert sum(histogram.values()) == shots
-    exact = run_shots(instance.circuit, inputs, shots, NoiseModel.zero(), 4,
+    exact = run_shots(instance.circuit, inputs, shots, NoiseModel(), 4,
                       instance.output_wires)
     assert exact == {3: shots}
 

@@ -106,7 +106,7 @@ def test_run_exact_mod4_zero():
 def test_zero_noise_concentrates_on_exact_output():
     instance = make_adder(AdderFamily.MOD_POW2, 2)
     histogram = run_shots(instance.circuit, instance.input_states([(3, 2)]), shots=50,
-                          noise=NoiseModel.zero(), seed=1,
+                          noise=NoiseModel(), seed=1,
                           measure=instance.output_wires)
     assert histogram == {1: 50}
 
@@ -153,16 +153,16 @@ def test_output_probability_zero_noise_is_one():
                       # wires, mod-pow2:63 draws operands up to 2^63 - 1.
                       (AdderFamily.FULL, 62), (AdderFamily.MOD_POW2, 63)]:
         estimate = output_probability(make_adder(family, n),
-                                      NoiseModel.zero(), shots=20, seed=0)
+                                      NoiseModel(), shots=20, seed=0)
         assert estimate.mean == 1.0
 
 
 def test_output_probability_exhaustive_cap():
     instance = make_adder(AdderFamily.FULL, 7)  # 2^14 pairs
     with pytest.raises(ValueError):
-        output_probability(instance, NoiseModel.zero(), shots=1, seed=0,
+        output_probability(instance, NoiseModel(), shots=1, seed=0,
                            sampling="exhaustive")
-    estimate = output_probability(instance, NoiseModel.zero(), shots=1,
+    estimate = output_probability(instance, NoiseModel(), shots=1,
                                   seed=0, sampling=64)
     assert len(estimate.per_pair) == 64
 
@@ -173,7 +173,7 @@ def test_random_pair_count_is_capped():
     for count in (MAX_RANDOM_PAIRS + 1, 10**20):
         with pytest.raises(ValueError,
                            match=rf"pair count must be in \[1, {MAX_RANDOM_PAIRS}\]"):
-            output_probability(instance, NoiseModel.zero(), shots=1, seed=0,
+            output_probability(instance, NoiseModel(), shots=1, seed=0,
                                sampling=count)
 
 
@@ -236,23 +236,23 @@ def test_calibrate_noise_all_perfect_targets_returns_zero_model():
 def test_output_probability_rejects_empty_shot_and_pair_counts():
     instance = make_adder(AdderFamily.MOD_POW2, 2)
     with pytest.raises(ValueError, match="shots"):
-        output_probability(instance, NoiseModel.zero(), shots=0, seed=0)
+        output_probability(instance, NoiseModel(), shots=0, seed=0)
     with pytest.raises(ValueError, match="pair count"):
-        output_probability(instance, NoiseModel.zero(), shots=5, seed=0,
+        output_probability(instance, NoiseModel(), shots=5, seed=0,
                            sampling=0)
     with pytest.raises(ValueError, match="bad sampling spec 'bogus'"):
-        output_probability(instance, NoiseModel.zero(), shots=5, seed=0,
+        output_probability(instance, NoiseModel(), shots=5, seed=0,
                            sampling="bogus")
 
 
 def test_more_than_63_measured_wires_are_refused():
     instance = make_adder(AdderFamily.FULL, 63)
     with pytest.raises(ValueError, match="63"):
-        output_probability(instance, NoiseModel.zero(), shots=1, seed=0,
+        output_probability(instance, NoiseModel(), shots=1, seed=0,
                            sampling=1)
     with pytest.raises(ValueError, match="63"):
         run_shots(instance.circuit, instance.input_states([(1, 2)]), shots=1,
-                  noise=NoiseModel.zero(), seed=0, measure=instance.output_wires)
+                  noise=NoiseModel(), seed=0, measure=instance.output_wires)
 
 
 @pytest.mark.parametrize("family,n", [
@@ -263,14 +263,14 @@ def test_operand_inputs_drive_run_shots_to_the_oracle(family, n):
     instance = make_adder(family, n)
     for a, b in instance.legal_pairs():
         histogram = run_shots(instance.circuit, instance.input_states([(a, b)]),
-                              shots=1, noise=NoiseModel.zero(), seed=0,
+                              shots=1, noise=NoiseModel(), seed=0,
                               measure=instance.output_wires)
         assert histogram == {instance.expected_output_bits(a, b): 1}
 
 
 def test_run_shots_takes_exactly_one_input_state():
     instance = make_adder(AdderFamily.MOD_POW2, 2)
-    args = dict(shots=1, noise=NoiseModel.zero(), seed=0,
+    args = dict(shots=1, noise=NoiseModel(), seed=0,
                 measure=instance.output_wires)
     for inputs in ({"A": 1, "B": 2}, instance.input_states([(1, 2), (0, 3)]),
                    instance.input_states([(1, 2)])[0],

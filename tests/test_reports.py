@@ -14,7 +14,7 @@ def test_table1_rows_reproducible_from_metadata():
 
 
 def test_table1_flags_minus1_deviations_only():
-    document = build_table1(NoiseModel.zero(), shots=1, seed=0)
+    document = build_table1(NoiseModel(), shots=1, seed=0)
     by_type = {(row[0], row[1]): row[-1] for row in document.rows}
     # The 2^n and 2^n+1 rows reproduce the reference resources exactly.
     assert by_type[(2, "mod-pow2")] == ""
@@ -29,7 +29,7 @@ def test_table1_flags_minus1_deviations_only():
 
 
 def test_table2_reference_columns_and_na():
-    document = build_table2([6, 11], efficiency=0.9, noise=NoiseModel.zero(),
+    document = build_table2([6, 11], efficiency=0.9, noise=NoiseModel(),
                             seed=1, budget=20, shots_mod=2, shots_full=2)
     first, last = document.rows
     columns = dict(zip(document.columns, first))

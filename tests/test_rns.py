@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrns.adders import AdderFamily
+from qrns.adders import AdderFamily, family_for_modulus
 from qrns.rns import (
     ResidueVector,
     RnsSet,
@@ -64,6 +65,30 @@ def test_rns_set_family_tags():
         (AdderFamily.MOD_POW2, 2),
         (AdderFamily.MOD_POW2_PLUS1, 2),
     )
+
+
+def test_rns_set_families_cannot_be_given():
+    # A family that disagrees with the modulus would give a wrong sum with
+    # no error, so families are derived and there is no way to set them.
+    wrong = ((AdderFamily.MOD_POW2, 3),) * 3
+    with pytest.raises(TypeError, match="families"):
+        RnsSet(moduli=(7, 8, 9), families=wrong)
+    with pytest.raises(ValueError, match="families"):
+        dataclasses.replace(RnsSet((7, 8, 9)), families=wrong)
+
+
+def test_rns_set_families_follow_the_moduli():
+    moduli = (5, 7, 8, 9, 17)
+    assert RnsSet.from_moduli(moduli).families == tuple(
+        [family_for_modulus(m) for m in moduli])
+    moved = dataclasses.replace(RnsSet((7, 8, 9)), moduli=(5, 8, 9))
+    assert moved == RnsSet.from_moduli((5, 8, 9))
+    assert moved.families[0] == family_for_modulus(5)
+
+
+def test_rns_set_refuses_a_modulus_without_an_adder():
+    with pytest.raises(ValueError, match="11 is not of the form"):
+        RnsSet((11, 4))
 
 
 @pytest.mark.parametrize("moduli,k,expected", [
