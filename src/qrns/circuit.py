@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -128,13 +129,21 @@ class CircuitValidationError(ValueError):
 
 def _violations(circuit: Circuit) -> list[str]:
     """Every invariant the circuit violates (empty when it is ok)."""
-    errors: list[str] = []
     width = circuit.width
+    if not _integer_type(type(width)):  # every range check below compares it
+        return [f"width {width!r} is not an integer"]
+    errors: list[str] = []
     if width < 0:
         errors.append(f"negative width {width}")
+    # A qubit is whatever operator.index takes (np.int64 too), tested per type.
+    gates = enumerate(circuit.gates)
+    if not all(map(_integer_type, {*map(type, chain.from_iterable(circuit.gates))})):
+        errors += [f"gate {i}: qubits {qubits} are not all integers"
+                   for i, qubits in gates if not all(map(_integer_type, map(type, qubits)))]
+        gates = ()  # ranges are checked only on a circuit of integer qubits
     # Direct comparisons by arity pass a sound gate; messages are built
     # only for a gate that fails.
-    for i, qubits in enumerate(circuit.gates):
+    for i, qubits in gates:
         arity = len(qubits)
         if arity == 2:
             a, b = qubits
@@ -162,12 +171,15 @@ def _violations(circuit: Circuit) -> list[str]:
     # these rules are what keeps every circuit readable by from_text.
     if not _is_one_line(circuit.name):
         errors.append(f"circuit name {circuit.name!r} is not one trimmed line of text")
-    for key, value in circuit.meta.items():
-        if not _is_word(key) or "=" in key:
-            errors.append(f"meta key {key!r} is not a non-empty string free of "
-                          "'=' and whitespace")
-        if not _is_one_line(value):
-            errors.append(f"meta {key!r}: value {value!r} is not one trimmed line of text")
+    if not isinstance(circuit.meta, Mapping):
+        errors.append(f"meta {circuit.meta!r} is not a mapping")
+    else:
+        for key, value in circuit.meta.items():
+            if not _is_word(key) or "=" in key:
+                errors.append(f"meta key {key!r} is not a non-empty string free of "
+                              "'=' and whitespace")
+            if not _is_one_line(value):
+                errors.append(f"meta {key!r}: value {value!r} is not one trimmed line of text")
     seen: dict[int, int] = {}  # qubit -> index of the first register on it
     names: set[str] = set()
     for r, reg in enumerate(circuit.registers):
@@ -181,7 +193,9 @@ def _violations(circuit: Circuit) -> list[str]:
         if not reg.qubits:
             errors.append(f"register {reg.name}: no qubits")
         for q in reg.qubits:
-            if not 0 <= q < width:
+            if not _integer_type(type(q)):
+                errors.append(f"register {reg.name}: qubit {q!r} is not an integer")
+            elif not 0 <= q < width:
                 errors.append(f"register {reg.name}: qubit {q} out of range")
             elif q not in seen:
                 seen[q] = r
@@ -191,6 +205,10 @@ def _violations(circuit: Circuit) -> list[str]:
                 errors.append(f"registers {circuit.registers[seen[q]].name} and "
                               f"{reg.name} overlap on qubit {q}")
     return errors
+
+
+def _integer_type(kind: type) -> bool:
+    return hasattr(kind, "__index__")  # what operator.index takes
 
 
 # Both take any object: a name or meta entry that is not a string fails.

@@ -10,7 +10,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -33,7 +33,7 @@ from .noise import (
     output_probability,
     run_shots,
 )
-from .reference import MODULI_ROWS, deviation_flag, moduli_row
+from .reference import MODULI_ROWS, REPORTED_RESOURCES, deviation_flag, moduli_row
 from .reports import ReportDocument, build_table1, build_table2, fmt_prob
 from .rns import RnsSet, rns_range
 from .select import SelectionError, SelectorConfig, explain_selection, select_rns
@@ -99,24 +99,13 @@ def _noise_from_arg(spec: str) -> NoiseModel:
         return NoiseModel.from_file(spec)
 
 
-# (label, ResourceReport field, reference ModuliRow field or None)
-_RESOURCE_LINES = (
-    ("qubits", "qubit_count", "qubits"),
-    ("toffoli count", "toffoli_count", "toffoli_count"),
-    ("cnot count", "cnot_count", "cnot_count"),
-    ("not count", "not_count", None),
-    ("toffoli depth", "toffoli_depth", "toffoli_depth"),
-    ("cnot depth", "cnot_depth", "cnot_depth"),
-    ("total depth", "total_depth", None),
-)
-
-
 def _print_resource_report(instance) -> None:
     report = instance.resources
     ref = moduli_row(instance.modulus, instance.family) if instance.modulus else None
-    for label, field, ref_field in _RESOURCE_LINES:
-        value = getattr(report, field)
-        flag = deviation_flag(value, getattr(ref, ref_field)) if ref and ref_field else ""
+    for name, value in asdict(report).items():
+        flag = (deviation_flag(value, getattr(ref, name))
+                if ref and name in REPORTED_RESOURCES else "")
+        label = "qubits" if name == "qubit_count" else name.replace("_", " ")
         print(f"{label:<15}{value}{flag}")
 
 

@@ -8,8 +8,9 @@ Theorem.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,19 +56,61 @@ class ResidueJob:
         return self.instance.expected_output_bits(self.a_residue, self.b_residue)
 
 
+def _fill(record: object, **derived: object) -> None:
+    """Set the init=False fields of a frozen record from its sources."""
+    for name, value in derived.items():
+        object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class JobResult:
-    job_id: int
-    modulus: int
+    """A residue job and the histogram of its shots, or the error that
+    stopped it; every other field is read from the histogram."""
+
+    job: ResidueJob
     histogram: Counter[int] | None
-    top_bits: int | None
-    top_value: int | None
-    top_probability: float
+    error: str | None = None
+    # The defaults are a failed job's.
+    top_bits: int | None = field(init=False, default=None)
+    top_value: int | None = field(init=False, default=None)
+    top_probability: float = field(init=False, default=0.0)
     # Share of shots that read the oracle's output bits, which the modal
     # outcome alone does not show when the mode is wrong.
-    correct_probability: float
-    tie: bool
-    error: str | None = None
+    correct_probability: float = field(init=False, default=0.0)
+    tie: bool = field(init=False, default=False)
+
+    def __post_init__(self) -> None:
+        histogram, job = self.histogram, self.job
+        if (histogram is None) == (self.error is None):
+            raise ValueError("a job result holds either a histogram or an error")
+        if histogram is None:
+            return
+        if sum(histogram.values()) != job.shots:
+            raise ValueError(f"{sum(histogram.values())} shots in a job of {job.shots}")
+        top_count = max(histogram.values())
+        modal = sorted(bits for bits, count in histogram.items() if count == top_count)
+        decoded = []
+        for bits in modal:
+            try:
+                decoded.append((job.instance.decode_output(bits), bits))
+            except ValueError:
+                pass  # not a residue of the modulus
+        # Ties break toward the smaller decoded value and are flagged.  A
+        # modal outcome that is not a residue (possible under heavy noise for
+        # the 2^n-1 and 2^n+1 families) keeps its bits and has no value.
+        top_value, top_bits = min(decoded) if decoded else (None, modal[0])
+        _fill(self, top_bits=top_bits, top_value=top_value,
+              top_probability=top_count / job.shots,
+              correct_probability=histogram[job.expected_bits] / job.shots,
+              tie=len(modal) > 1)
+
+    @property
+    def job_id(self) -> int:
+        return self.job.job_id
+
+    @property
+    def modulus(self) -> int | None:
+        return self.job.modulus
 
     @property
     def failed(self) -> bool:
@@ -76,13 +119,29 @@ class JobResult:
 
 @dataclass(frozen=True)
 class DistributedSum:
-    """Aggregate of all residue jobs for one addition."""
+    """One addition: a result per modulus of ``rns``, in order, and their modes' CRT."""
 
     rns: RnsSet
     results: tuple[JobResult, ...]
-    reconstructed: int
-    set_output_probability: float
-    end_to_end_probability: float
+    reconstructed: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        if tuple([r.modulus for r in self.results if not r.failed]) != self.rns.moduli:
+            raise ValueError(f"need one result per modulus of {self.rns}, in order")
+        for result in self.results:
+            if result.top_value is None:
+                raise SimulationError(f"modulus {result.modulus}: modal outcome "
+                                      f"{result.top_bits:#x} is not a decodable codeword")
+        residues = tuple([r.top_value for r in self.results])
+        _fill(self, reconstructed=crt_reconstruct(ResidueVector(self.rns, residues)))
+
+    @property
+    def set_output_probability(self) -> float:
+        return min([r.top_probability for r in self.results])
+
+    @property
+    def end_to_end_probability(self) -> float:
+        return math.prod([r.top_probability for r in self.results])
 
 
 def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
@@ -111,34 +170,9 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
 
 def _run_job(job: ResidueJob, noise: NoiseModel) -> JobResult:
     instance = job.instance
-    histogram = run_shots(instance.circuit,
-                          instance.input_states([(job.a_residue, job.b_residue)]),
-                          job.shots, noise, job.seed, instance.output_wires)
-    top_count = max(histogram.values())
-    modal = sorted(bits for bits, count in histogram.items() if count == top_count)
-    decoded = []
-    for bits in modal:
-        try:
-            decoded.append((instance.decode_output(bits), bits))
-        except ValueError:
-            pass  # not a residue of the modulus
-    if decoded:
-        # Ties break toward the smaller decoded value and are flagged.
-        top_value, top_bits = min(decoded)
-    else:
-        # Modal outcome is not a residue (possible under heavy noise for
-        # the 2^n-1 and 2^n+1 families); keep bits, mark no value.
-        top_bits, top_value = modal[0], None
-    return JobResult(
-        job_id=job.job_id,
-        modulus=job.modulus,
-        histogram=histogram,
-        top_bits=top_bits,
-        top_value=top_value,
-        top_probability=top_count / job.shots,
-        correct_probability=histogram[job.expected_bits] / job.shots,
-        tie=len(modal) > 1,
-    )
+    return JobResult(job, run_shots(instance.circuit,
+                                    instance.input_states([(job.a_residue, job.b_residue)]),
+                                    job.shots, noise, job.seed, instance.output_wires))
 
 
 def execute_jobs(jobs: list[ResidueJob], workers: int,
@@ -159,10 +193,7 @@ def execute_jobs(jobs: list[ResidueJob], workers: int,
         try:
             results.append(_run_job(job, noise))
         except Exception as exc:  # noqa: BLE001 - per-job isolation
-            results.append(JobResult(job_id=job.job_id, modulus=job.modulus,
-                                     histogram=None, top_bits=None, top_value=None,
-                                     top_probability=0.0, correct_probability=0.0,
-                                     tie=False, error=str(exc)))
+            results.append(JobResult(job, None, str(exc)))
     return results
 
 
@@ -174,27 +205,7 @@ def aggregate(results: list[JobResult], rns: RnsSet) -> DistributedSum:
         failed = {r.modulus: r.error for r in results if r.failed}
         raise SimulationError(f"missing results for moduli {missing}"
                               + (f" (failed: {failed})" if failed else ""))
-    residues = []
-    for modulus in rns.moduli:
-        result = by_modulus[modulus]
-        if result.top_value is None:
-            raise SimulationError(
-                f"modulus {modulus}: modal outcome {result.top_bits:#x} is "
-                "not a decodable codeword"
-            )
-        residues.append(result.top_value)
-    ordered = tuple([by_modulus[m] for m in rns.moduli])
-    probs = [r.top_probability for r in ordered]
-    end_to_end = 1.0
-    for p in probs:
-        end_to_end *= p
-    return DistributedSum(
-        rns=rns,
-        results=ordered,
-        reconstructed=crt_reconstruct(ResidueVector(rns, tuple(residues))),
-        set_output_probability=min(probs),
-        end_to_end_probability=end_to_end,
-    )
+    return DistributedSum(rns, tuple([by_modulus[m] for m in rns.moduli]))
 
 
 MOD_SHOTS = 100    # published protocol: one hundred shots for modulo adders
@@ -218,18 +229,29 @@ MIN_SIZE = 6
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One adder size: monolithic baseline vs distributed residue set."""
+    """One adder size: monolithic baseline vs distributed residue set; only
+    the probabilities are measured."""
 
     size: int
-    mono_report: ResourceReport
-    mono_probability: float | None  # None when over the device budget
     rns: RnsSet
-    efficiency: Fraction
-    max_qubits: int
-    max_toffoli_depth: int
-    max_cnot_depth: int
+    mono_probability: float | None  # None when over the device budget
     set_probability: float
-    gain_percent: float | None
+    mono_report: ResourceReport = field(init=False)
+    efficiency: Fraction = field(init=False)
+    max_qubits: int = field(init=False)
+    max_toffoli_depth: int = field(init=False)
+    max_cnot_depth: int = field(init=False)
+    gain_percent: float | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        reports = [make_adder(family, n).resources for family, n in self.rns.families]
+        mono = self.mono_probability
+        _fill(self, mono_report=make_adder(AdderFamily.FULL, self.size - 1).resources,
+              efficiency=rns_efficiency(self.rns, 2**self.size),
+              max_qubits=max(r.qubit_count for r in reports),
+              max_toffoli_depth=max(r.toffoli_depth for r in reports),
+              max_cnot_depth=max(r.cnot_depth for r in reports),
+              gain_percent=None if mono is None else 100 * (self.set_probability / mono - 1))
 
 
 # Every size from here up is refused by the selector whatever the
@@ -262,37 +284,14 @@ def gain_report(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
     mod_probs: dict[int, float] = {}
     for size in sizes:
         rns = selected[size]
-        instances = {m: make_adder(fam, n)
-                     for m, (fam, n) in zip(rns.moduli, rns.families)}
-        set_prob = 1.0
-        reports = {}
-        for modulus, instance in instances.items():
-            reports[modulus] = instance.resources
+        for modulus, (family, n) in zip(rns.moduli, rns.families):
             if modulus not in mod_probs:
                 mod_probs[modulus] = output_probability(
-                    instance, noise, shots=shots_mod,
+                    make_adder(family, n), noise, shots=shots_mod,
                     seed=derive_seed(seed, "mod", modulus)).mean
-            set_prob = min(set_prob, mod_probs[modulus])
         mono = make_adder(AdderFamily.FULL, size - 1)
-        mono_report = mono.resources
-        if mono_report.qubit_count <= budget:
-            mono_prob = output_probability(
-                mono, noise, shots=shots_full,
-                seed=derive_seed(seed, "full", size)).mean
-            gain = 100.0 * (set_prob / mono_prob - 1.0)
-        else:
-            mono_prob = None
-            gain = None
-        rows.append(ComparisonRow(
-            size=size,
-            mono_report=mono_report,
-            mono_probability=mono_prob,
-            rns=rns,
-            efficiency=rns_efficiency(rns, 2**size),
-            max_qubits=max(r.qubit_count for r in reports.values()),
-            max_toffoli_depth=max(r.toffoli_depth for r in reports.values()),
-            max_cnot_depth=max(r.cnot_depth for r in reports.values()),
-            set_probability=set_prob,
-            gain_percent=gain,
-        ))
+        mono_prob = None if mono.resources.qubit_count > budget else output_probability(
+            mono, noise, shots=shots_full, seed=derive_seed(seed, "full", size)).mean
+        rows.append(ComparisonRow(size, rns, mono_prob,
+                                  min([mod_probs[m] for m in rns.moduli])))
     return rows

@@ -18,12 +18,17 @@ class ModuliRow:
     modulus: int
     family: AdderFamily
     n: int
-    qubits: int
+    qubit_count: int
     toffoli_depth: int
     cnot_depth: int
     toffoli_count: int
     cnot_count: int
     output_probability: float
+
+
+# The ModuliRow fields that are ResourceReport fields, in table1's flag order.
+REPORTED_RESOURCES = ("qubit_count", "toffoli_depth", "cnot_depth", "toffoli_count",
+                      "cnot_count")
 
 
 # "Table 1": the eight reference modulo adders (modulus, variant).

@@ -12,7 +12,7 @@ from . import __version__
 from .adders import make_adder
 from .distributed import FULL_SHOTS, MOD_SHOTS, gain_report
 from .noise import NoiseModel, derive_seed, output_probability
-from .reference import MODULI_ROWS, comparison_row, deviation_flag
+from .reference import MODULI_ROWS, REPORTED_RESOURCES, comparison_row, deviation_flag
 from .rns import efficiency_percent
 
 
@@ -100,13 +100,8 @@ def build_table1(noise: NoiseModel, shots: int, seed: int) -> ReportDocument:
             instance, noise, shots=shots,
             seed=derive_seed(seed, "table1", ref.modulus, ref.family.value),
         )
-        flags = "".join([
-            deviation_flag(report.qubit_count, ref.qubits),
-            deviation_flag(report.toffoli_depth, ref.toffoli_depth),
-            deviation_flag(report.cnot_depth, ref.cnot_depth),
-            deviation_flag(report.toffoli_count, ref.toffoli_count),
-            deviation_flag(report.cnot_count, ref.cnot_count),
-        ]).strip()
+        flags = "".join([deviation_flag(getattr(report, name), getattr(ref, name))
+                         for name in REPORTED_RESOURCES]).strip()
         rows.append((
             ref.modulus,
             ref.family.value,

@@ -95,6 +95,10 @@ def _violations(*args, **kwargs) -> list[str]:
 
 def test_validate_minimal_ok():
     assert Circuit(2, (cx(0, 1),)).gates == (cx(0, 1),)
+    # Anything operator.index takes is a qubit or a width.
+    wide = Circuit(np.int64(3), (cx(np.int64(0), 2), (True, np.uint8(2))),
+                   (Register("A", (np.int64(0), 1)),))
+    assert from_text(to_text(wide)) == wide
 
 
 def test_validate_duplicate_qubit():
@@ -442,9 +446,16 @@ def test_text_round_trip_of_random_circuits(circuit):
     (dict(meta={"n": 3}), "not one trimmed line"),
     (dict(meta={3: "x"}), "meta key"),
     (dict(registers=(Register(3, (0,)),)), "register name"),
+    (dict(gates=((0.5, 1),)), "gate 0: qubits (0.5, 1) are not all integers"),
+    (dict(gates=((0, 1), (1.0,), (0, 1))), "gate 1: qubits (1.0,) are not all integers"),
+    (dict(width="2"), "width '2' is not an integer"),
+    (dict(width=2.0), "width 2.0 is not an integer"),
+    (dict(registers=(Register("A", ("x",)),)), "register A: qubit 'x' is not an integer"),
+    (dict(meta=None), "meta None is not a mapping"),
+    (dict(meta=[("n", "3")]), "is not a mapping"),
 ])
 def test_validate_refuses_what_the_text_format_cannot_carry(circuit, message):
-    errors = _violations(2, **circuit)
+    errors = _violations(**{"width": 2, **circuit})
     assert len(errors) == 1 and message in errors[0]
 
 

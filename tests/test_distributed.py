@@ -1,10 +1,13 @@
 import dataclasses
 import threading
+from collections import Counter
 
 import pytest
 
 from qrns import distributed
 from qrns.distributed import (
+    DistributedSum,
+    JobResult,
     RangeOverflowError,
     SimulationError,
     aggregate,
@@ -112,9 +115,61 @@ def test_aggregate_failures_are_simulation_errors():
                            workers=1, noise=NoiseModel())
     with pytest.raises(SimulationError, match="missing results for moduli"):
         aggregate(results[:2], RNS345)
-    results[2] = dataclasses.replace(results[2], top_bits=0x7, top_value=None)
+    # 0x7 is not a residue of 5: the mode has bits and no value.
+    results[2] = dataclasses.replace(results[2], histogram=Counter({0x7: 10}))
     with pytest.raises(SimulationError, match="0x7 is not a decodable codeword"):
         aggregate(results, RNS345)
+
+
+RNS589 = RnsSet.from_moduli((5, 8, 9))
+
+
+def test_results_cannot_be_given_what_their_sources_say():
+    # A mode or modulus that disagreed with its job would recombine 10 + 20
+    # into a wrong sum with no error; both are read from the job and its
+    # histogram, so neither can be given.
+    results = execute_jobs(plan_jobs(10, 20, RNS589, shots=10, base_seed=1),
+                           workers=1, noise=NoiseModel())
+    summed = aggregate(results, RNS589)
+    assert summed.reconstructed == 30
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(results[0], top_value=3)
+    with pytest.raises(TypeError, match="modulus"):
+        dataclasses.replace(results[0], modulus=9)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(summed, reconstructed=31)
+    assert [r.modulus for r in results] == [5, 8, 9]
+    assert [r.job_id for r in results] == [0, 1, 2]
+
+
+def test_replaced_histogram_rederives_every_field():
+    result = execute_jobs(plan_jobs(10, 20, RNS589, shots=10, base_seed=1),
+                          workers=1, noise=NoiseModel())[1]
+    assert (result.modulus, result.top_bits, result.top_value) == (8, 6, 6)
+    assert (result.top_probability, result.correct_probability, result.tie) == (1, 1, False)
+    # A tie between residues 3 and 1 of 8 goes to the smaller value; the
+    # oracle's 6 is never read.
+    tied = dataclasses.replace(result, histogram=Counter({3: 4, 1: 4, 7: 2}))
+    assert (tied.top_bits, tied.top_value, tied.tie) == (1, 1, True)
+    assert (tied.top_probability, tied.correct_probability) == (0.4, 0.0)
+    assert tied.job is result.job and tied.job_id == 1
+
+
+def test_records_refuse_inconsistent_sources():
+    jobs = plan_jobs(10, 20, RNS589, shots=10, base_seed=1)
+    results = execute_jobs(jobs, workers=1, noise=NoiseModel())
+    with pytest.raises(ValueError, match="either a histogram or an error"):
+        JobResult(jobs[0], None)
+    with pytest.raises(ValueError, match="either a histogram or an error"):
+        JobResult(jobs[0], Counter({0: 10}), "failed")
+    with pytest.raises(ValueError, match="9 shots in a job of 10"):
+        JobResult(jobs[0], Counter({0: 9}))
+    failed = JobResult(jobs[0], None, "boom")
+    assert (failed.top_bits, failed.top_value, failed.top_probability,
+            failed.correct_probability, failed.tie) == (None, None, 0.0, 0.0, False)
+    for wrong in (results[::-1], results[:2], [failed, *results[1:]]):
+        with pytest.raises(ValueError, match="one result per modulus"):
+            DistributedSum(RNS589, tuple(wrong))
 
 
 def test_aggregate_min_and_product_rules():
@@ -207,6 +262,10 @@ def test_gain_report_reference_shapes():
     assert last.mono_probability is None  # 21 qubits over the 20-qubit budget
     assert last.gain_percent is None
     assert last.mono_report.qubit_count == 21
+    # Only the probabilities are settable; the rest follows them.
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(first, max_qubits=1)
+    assert dataclasses.replace(first, mono_probability=0.5).gain_percent == 100.0
 
 
 def test_gain_report_rejects_small_sizes():

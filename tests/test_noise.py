@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qrns.adders import AdderFamily, dim1_encode, make_adder
+from qrns.adders import AdderFamily, adder_instance, dim1_encode, make_adder
 from qrns.circuit import GateKind, apply_permutation_batch, gate_kind, read_value
 from qrns.noise import (
     DEFAULT_NOISE,
@@ -92,9 +92,10 @@ def test_expected_codes_wider_than_the_output_wires_raise():
     # adder, its oracle would ask for a + b, up to 510.  Cast to the uint8
     # of the measured values, a sum of 256 + s would wrap to s and match
     # every noiseless shot, so the relabelled instance is never built.
+    circuit = make_adder(AdderFamily.MOD_POW2, 8).circuit
     with pytest.raises(ValueError, match=re.escape(
             "A, B and output wires: (8, 8, 8), but meta family=full n=8 needs (8, 8, 9)")):
-        dataclasses.replace(make_adder(AdderFamily.MOD_POW2, 8), family=AdderFamily.FULL)
+        adder_instance(dataclasses.replace(circuit, meta={**circuit.meta, "family": "full"}))
 
 
 def test_run_exact_mod4_zero():
