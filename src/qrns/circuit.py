@@ -136,14 +136,24 @@ def _violations(circuit: Circuit) -> list[str]:
     if width < 0:
         errors.append(f"negative width {width}")
     # A qubit is whatever operator.index takes (np.int64 too), tested per type.
-    gates = enumerate(circuit.gates)
-    if not all(map(_integer_type, {*map(type, chain.from_iterable(circuit.gates))})):
-        errors += [f"gate {i}: qubits {qubits} are not all integers"
-                   for i, qubits in gates if not all(map(_integer_type, map(type, qubits)))]
+    gates = circuit.gates
+    try:
+        integral = all(map(_integer_type, {*map(type, chain.from_iterable(gates))}))
+    except TypeError:  # the gates, or one of them, cannot be iterated
+        integral = False
+    if not integral:
+        if not _iterable(gates):
+            errors.append(f"gates {gates!r} are not a sequence of gates")
+        else:
+            for i, qubits in enumerate(gates):
+                if not _iterable(qubits):
+                    errors.append(f"gate {i}: {qubits!r} is not a sequence of qubits")
+                elif not all(map(_integer_type, map(type, qubits))):
+                    errors.append(f"gate {i}: qubits {qubits} are not all integers")
         gates = ()  # ranges are checked only on a circuit of integer qubits
     # Direct comparisons by arity pass a sound gate; messages are built
     # only for a gate that fails.
-    for i, qubits in gates:
+    for i, qubits in enumerate(gates):
         arity = len(qubits)
         if arity == 2:
             a, b = qubits
@@ -182,7 +192,11 @@ def _violations(circuit: Circuit) -> list[str]:
                 errors.append(f"meta {key!r}: value {value!r} is not one trimmed line of text")
     seen: dict[int, int] = {}  # qubit -> index of the first register on it
     names: set[str] = set()
-    for r, reg in enumerate(circuit.registers):
+    registers = circuit.registers
+    if not _iterable(registers):
+        errors.append(f"registers {registers!r} are not a sequence of registers")
+        registers = ()
+    for r, reg in enumerate(registers):
         if not _is_word(reg.name):
             errors.append(f"register name {reg.name!r} is not a non-empty string "
                           "free of whitespace")
@@ -190,6 +204,9 @@ def _violations(circuit: Circuit) -> list[str]:
             # register() would find only the first of them.
             errors.append(f"register name {reg.name!r} is used twice")
         names.add(reg.name)
+        if not _iterable(reg.qubits):
+            errors.append(f"register {reg.name}: qubits {reg.qubits!r} are not a sequence")
+            continue
         if not reg.qubits:
             errors.append(f"register {reg.name}: no qubits")
         for q in reg.qubits:
@@ -209,6 +226,14 @@ def _violations(circuit: Circuit) -> list[str]:
 
 def _integer_type(kind: type) -> bool:
     return hasattr(kind, "__index__")  # what operator.index takes
+
+
+def _iterable(value: object) -> bool:
+    try:
+        iter(value)
+    except TypeError:
+        return False
+    return True
 
 
 # Both take any object: a name or meta entry that is not a string fails.

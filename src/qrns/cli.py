@@ -47,10 +47,6 @@ FAMILY_NAMES = {family.value: family for family in AdderFamily}
 FAMILY_NAMES["qdma"] = FAMILY_NAMES["mod-pow2-plus1"]
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
@@ -78,14 +74,14 @@ _SPEC_ECHO = 60
 
 @contextmanager
 def _spec_errors(option: str, spec: str) -> Iterator[None]:
-    """Turn a bad ``spec`` of ``option`` into a UsageError naming both."""
+    """Turn a bad ``spec`` of ``option`` into a ValueError naming both."""
     shown = spec if len(spec) <= _SPEC_ECHO else spec[:_SPEC_ECHO - 1] + "…"
     try:
         yield
-    except (UsageError, ValueError) as exc:
-        raise UsageError(f"{option} {shown}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{option} {shown}: {exc}") from exc
     except OSError as exc:  # its str() repeats the whole path
-        raise UsageError(f"{option} {shown}: {exc.strerror}") from exc
+        raise ValueError(f"{option} {shown}: {exc.strerror}") from exc
 
 
 def _noise_from_arg(spec: str) -> NoiseModel:
@@ -95,7 +91,7 @@ def _noise_from_arg(spec: str) -> NoiseModel:
         return NoiseModel()
     with _spec_errors("--noise", spec):
         if not Path(spec).exists():
-            raise UsageError("neither default, zero, nor an existing file")
+            raise ValueError("neither default, zero, nor an existing file")
         return NoiseModel.from_file(spec)
 
 
@@ -165,7 +161,7 @@ def _build_run_target(spec: str):
         name, _, n_text = spec.partition(":")
         if name in FAMILY_NAMES:
             return make_adder(FAMILY_NAMES[name], int(n_text))
-    raise UsageError(
+    raise ValueError(
         "neither a circuit file, 'mod:<modulus>', nor "
         f"'<family>:<n>' with family in {sorted(set(FAMILY_NAMES))}"
     )
@@ -175,9 +171,9 @@ def cmd_run(args) -> int:
     instance = _resolve_run_target(args.circuit)
     noise = _noise_from_arg(args.noise)
     if (args.a is None) != (args.b is None):
-        raise UsageError("--a and --b must be given together")
+        raise ValueError("--a and --b must be given together")
     if args.a is not None and args.sample != "auto":
-        raise UsageError("--sample applies only without --a and --b")
+        raise ValueError("--sample applies only without --a and --b")
     if args.a is not None:
         histogram = run_shots(instance.circuit,
                               instance.input_states([(args.a, args.b)]),
@@ -310,7 +306,7 @@ def cmd_calibrate(args) -> int:
     targets = []
     wanted = None if args.rows is None else set(args.rows.split(","))
     if wanted is not None and "" in wanted:
-        raise UsageError(f"--rows {args.rows!r} has an empty label ''")
+        raise ValueError(f"--rows {args.rows!r} has an empty label ''")
     known: set[str] = set()
     for ref in MODULI_ROWS:
         labels = {f"{ref.modulus}:{ref.family.value}"}
@@ -321,7 +317,7 @@ def cmd_calibrate(args) -> int:
         if wanted is None or labels & wanted:
             targets.append((make_adder(ref.family, ref.n), ref.output_probability))
     if wanted is not None and wanted - known:
-        raise UsageError(f"unknown --rows labels {', '.join(sorted(wanted - known))}; "
+        raise ValueError(f"unknown --rows labels {', '.join(sorted(wanted - known))}; "
                          f"known: {', '.join(sorted(known))}")
     result = calibrate_noise(targets, shots=args.shots, seed=args.seed,
                              max_rounds=args.rounds)
@@ -433,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"qrns: simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (UsageError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"qrns: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

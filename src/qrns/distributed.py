@@ -119,14 +119,14 @@ class JobResult:
 
 @dataclass(frozen=True)
 class DistributedSum:
-    """One addition: a result per modulus of ``rns``, in order, and their modes' CRT."""
+    """One addition: an unfailed result per modulus of ``rns``, in order, and their modes' CRT."""
 
     rns: RnsSet
     results: tuple[JobResult, ...]
     reconstructed: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if tuple([r.modulus for r in self.results if not r.failed]) != self.rns.moduli:
+        if tuple([None if r.failed else r.modulus for r in self.results]) != self.rns.moduli:
             raise ValueError(f"need one result per modulus of {self.rns}, in order")
         for result in self.results:
             if result.top_value is None:
@@ -137,11 +137,16 @@ class DistributedSum:
 
     @property
     def set_output_probability(self) -> float:
-        return min([r.top_probability for r in self.results])
+        return _set_probabilities([r.correct_probability for r in self.results])[0]
 
     @property
     def end_to_end_probability(self) -> float:
-        return math.prod([r.top_probability for r in self.results])
+        return _set_probabilities([r.correct_probability for r in self.results])[1]
+
+
+def _set_probabilities(correct_probs: Sequence[float]) -> tuple[float, float]:
+    """(set output, end-to-end) probability: min and product of correct_probs."""
+    return min(correct_probs), math.prod(correct_probs)
 
 
 def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
@@ -292,6 +297,6 @@ def gain_report(sizes: Sequence[int], efficiency: float, noise: NoiseModel,
         mono = make_adder(AdderFamily.FULL, size - 1)
         mono_prob = None if mono.resources.qubit_count > budget else output_probability(
             mono, noise, shots=shots_full, seed=derive_seed(seed, "full", size)).mean
-        rows.append(ComparisonRow(size, rns, mono_prob,
-                                  min([mod_probs[m] for m in rns.moduli])))
+        rows.append(ComparisonRow(size, rns, mono_prob, _set_probabilities(
+            [mod_probs[m] for m in rns.moduli])[0]))
     return rows

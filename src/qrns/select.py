@@ -41,7 +41,6 @@ class SelectionError(Exception):
 
     def __init__(self, binding_constraint: str):
         super().__init__(f"no qualifying moduli set: {binding_constraint}")
-        self.binding_constraint = binding_constraint
 
 
 def moduli_pool(max_n: int) -> tuple[int, ...]:

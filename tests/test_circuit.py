@@ -453,6 +453,10 @@ def test_text_round_trip_of_random_circuits(circuit):
     (dict(registers=(Register("A", ("x",)),)), "register A: qubit 'x' is not an integer"),
     (dict(meta=None), "meta None is not a mapping"),
     (dict(meta=[("n", "3")]), "is not a mapping"),
+    (dict(gates=(5,)), "gate 0: 5 is not a sequence of qubits"),
+    (dict(gates=None), "gates None are not a sequence of gates"),
+    (dict(registers=None), "registers None are not a sequence of registers"),
+    (dict(registers=(Register("A", 5),)), "register A: qubits 5 are not a sequence"),
 ])
 def test_validate_refuses_what_the_text_format_cannot_carry(circuit, message):
     errors = _violations(**{"width": 2, **circuit})

@@ -332,6 +332,73 @@ size  mono_qubits  mono_toffoli_depth  mono_cnot_depth  mono_probability  rns_se
 size  mono_qubits  mono_toffoli_depth  mono_cnot_depth  mono_probability  rns_set       efficiency_percent  max_qubits  max_toffoli_depth  max_cnot_depth  set_probability  gain_percent  reported_mono_probability  reported_set_probability  reported_gain_percent
 12    23           21                  22               N.A.              (15, 16, 17)  99.61               17          20                 18              0.729            N.A.          N.A.                       N.A.                      N.A.
 """,
+    # Mod 7's mode is a wrong residue: the sum is wrong, and the set lines
+    # give the share of shots that read the correct residues.
+    ("dqc-add", "--a", "300", "--b", "500", "--k", "1024",
+     "--shots", "5", "--seed", "142"): """\
+moduli (4, 5, 7, 9)
+  mod 4: top outcome 0 p=1.000
+    correct outcome p=1.000
+  mod 5: top outcome 0 p=1.000
+    correct outcome p=1.000
+  mod 7: top outcome 0 p=0.600
+    correct outcome p=0.400
+  mod 9: top outcome 8 p=1.000
+    correct outcome p=1.000
+reconstructed sum 980
+correct no
+set output probability 0.400
+end-to-end probability 0.400
+""",
+    ("dqc-add", "--a", "300", "--b", "500", "--k", "1024",
+     "--shots", "5", "--seed", "142", "--json"): """\
+{
+  "a": 300,
+  "b": 500,
+  "correct": false,
+  "end_to_end_probability": 0.4,
+  "jobs": [
+    {
+      "correct_probability": 1.0,
+      "modulus": 4,
+      "tie": false,
+      "top_probability": 1.0,
+      "top_value": 0
+    },
+    {
+      "correct_probability": 1.0,
+      "modulus": 5,
+      "tie": false,
+      "top_probability": 1.0,
+      "top_value": 0
+    },
+    {
+      "correct_probability": 0.4,
+      "modulus": 7,
+      "tie": false,
+      "top_probability": 0.6,
+      "top_value": 0
+    },
+    {
+      "correct_probability": 1.0,
+      "modulus": 9,
+      "tie": false,
+      "top_probability": 1.0,
+      "top_value": 8
+    }
+  ],
+  "k": 1024,
+  "moduli": [
+    4,
+    5,
+    7,
+    9
+  ],
+  "reconstructed": 980,
+  "seed": 142,
+  "set_output_probability": 0.4
+}
+""",
     # An adder outside Table 1 has no reference row, so no line is flagged.
     ("synth", "mod-pow2", "4"): """\
 # qrns circuit v1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import threading
 from collections import Counter
 
@@ -167,16 +168,29 @@ def test_records_refuse_inconsistent_sources():
     failed = JobResult(jobs[0], None, "boom")
     assert (failed.top_bits, failed.top_value, failed.top_probability,
             failed.correct_probability, failed.tie) == (None, None, 0.0, 0.0, False)
-    for wrong in (results[::-1], results[:2], [failed, *results[1:]]):
+    for wrong in (results[::-1], results[:2], [failed, *results[1:]], [*results, failed]):
         with pytest.raises(ValueError, match="one result per modulus"):
             DistributedSum(RNS589, tuple(wrong))
+
+
+def test_set_probabilities_read_the_correct_residue_not_the_mode():
+    results = execute_jobs(plan_jobs(10, 20, RNS589, shots=10, base_seed=1),
+                           workers=1, noise=NoiseModel())
+    # Mod 8's oracle reads 6; the wrong residue 3 becomes the mode.
+    wrong = dataclasses.replace(results[1], histogram=Counter({3: 6, 6: 4}))
+    assert (wrong.top_value, wrong.top_probability, wrong.correct_probability) == (3, 0.6, 0.4)
+    summed = DistributedSum(RNS589, (results[0], wrong, results[2]))
+    assert summed.reconstructed != 30
+    probs = [r.correct_probability for r in summed.results]
+    assert summed.set_output_probability == min(probs) == 0.4
+    assert summed.end_to_end_probability == math.prod(probs) == 0.4
 
 
 def test_aggregate_min_and_product_rules():
     jobs = plan_jobs(5, 6, RNS345, shots=400, base_seed=5)
     results = execute_jobs(jobs, workers=1, noise=DEFAULT_NOISE)
     summed = aggregate(results, RNS345)
-    probs = [r.top_probability for r in results]
+    probs = [r.correct_probability for r in results]
     assert summed.set_output_probability == min(probs)
     expected_product = 1.0
     for p in probs:

@@ -168,7 +168,7 @@ def test_infeasible_selection_raises_with_constraint():
     with pytest.raises(SelectionError) as excinfo:
         select_rns(SelectorConfig(k=10**9))
     assert "range >= E*K" in str(excinfo.value)
-    assert excinfo.value.binding_constraint
+    assert "no qualifying moduli set" in str(excinfo.value)
 
 
 def test_larger_pool_feasible_for_huge_k():
