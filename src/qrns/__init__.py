@@ -29,7 +29,6 @@ from .distributed import (
     ComparisonRow,
     DistributedSum,
     JobResult,
-    RangeOverflowError,
     ResidueJob,
     SimulationError,
     aggregate,
@@ -50,13 +49,11 @@ from .noise import (
 )
 from .resources import ResourceReport, resource_report
 from .rns import (
-    ResidueVector,
     RnsSet,
     crt_reconstruct,
     encode_residues,
     is_pairwise_coprime,
     rns_efficiency,
-    rns_range,
 )
 from .select import (
     SelectionError,

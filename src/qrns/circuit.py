@@ -135,18 +135,19 @@ def _violations(circuit: Circuit) -> list[str]:
     errors: list[str] = []
     if width < 0:
         errors.append(f"negative width {width}")
-    # A qubit is whatever operator.index takes (np.int64 too), tested per type.
+    # The gates and each gate are sequences, so that a one-shot iterator is
+    # not used up by a check, and a qubit is whatever operator.index takes
+    # (np.int64 too); gates and qubits are tested per type.
     gates = circuit.gates
-    try:
-        integral = all(map(_integer_type, {*map(type, chain.from_iterable(gates))}))
-    except TypeError:  # the gates, or one of them, cannot be iterated
-        integral = False
+    integral = (_sequence_type(type(gates))
+                and all(map(_sequence_type, {*map(type, gates)}))
+                and all(map(_integer_type, {*map(type, chain.from_iterable(gates))})))
     if not integral:
-        if not _iterable(gates):
+        if not _sequence_type(type(gates)):
             errors.append(f"gates {gates!r} are not a sequence of gates")
         else:
             for i, qubits in enumerate(gates):
-                if not _iterable(qubits):
+                if not _sequence_type(type(qubits)):
                     errors.append(f"gate {i}: {qubits!r} is not a sequence of qubits")
                 elif not all(map(_integer_type, map(type, qubits))):
                     errors.append(f"gate {i}: qubits {qubits} are not all integers")
@@ -193,10 +194,13 @@ def _violations(circuit: Circuit) -> list[str]:
     seen: dict[int, int] = {}  # qubit -> index of the first register on it
     names: set[str] = set()
     registers = circuit.registers
-    if not _iterable(registers):
+    if not _sequence_type(type(registers)):
         errors.append(f"registers {registers!r} are not a sequence of registers")
         registers = ()
     for r, reg in enumerate(registers):
+        if not isinstance(reg, Register):
+            errors.append(f"register {r}: {reg!r} is not a Register")
+            continue
         if not _is_word(reg.name):
             errors.append(f"register name {reg.name!r} is not a non-empty string "
                           "free of whitespace")
@@ -204,7 +208,7 @@ def _violations(circuit: Circuit) -> list[str]:
             # register() would find only the first of them.
             errors.append(f"register name {reg.name!r} is used twice")
         names.add(reg.name)
-        if not _iterable(reg.qubits):
+        if not _sequence_type(type(reg.qubits)):
             errors.append(f"register {reg.name}: qubits {reg.qubits!r} are not a sequence")
             continue
         if not reg.qubits:
@@ -228,12 +232,8 @@ def _integer_type(kind: type) -> bool:
     return hasattr(kind, "__index__")  # what operator.index takes
 
 
-def _iterable(value: object) -> bool:
-    try:
-        iter(value)
-    except TypeError:
-        return False
-    return True
+def _sequence_type(kind: type) -> bool:
+    return kind is tuple or issubclass(kind, Sequence)  # tuple skips the ABC check
 
 
 # Both take any object: a name or meta entry that is not a string fails.

@@ -35,7 +35,7 @@ from .noise import (
 )
 from .reference import MODULI_ROWS, REPORTED_RESOURCES, deviation_flag, moduli_row
 from .reports import ReportDocument, build_table1, build_table2, fmt_prob
-from .rns import RnsSet, rns_range
+from .rns import RnsSet
 from .select import SelectionError, SelectorConfig, explain_selection, select_rns
 
 EXIT_OK = 0
@@ -132,12 +132,12 @@ def cmd_select(args) -> int:
             "k": args.k,
             "efficiency": args.efficiency,
             "moduli": list(rns.moduli),
-            "range": rns_range(rns),
+            "range": rns.range,
             "trace": trace.events,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"selected {rns} (range {rns_range(rns)})")
+        print(f"selected {rns} (range {rns.range})")
         if args.trace:
             for event in trace.events:
                 print(f"  {event}")

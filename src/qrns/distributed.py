@@ -17,23 +17,12 @@ from typing import Sequence
 from .adders import AdderFamily, AdderInstance, make_adder
 from .noise import NoiseModel, check_shots, derive_seed, output_probability, run_shots
 from .resources import ResourceReport
-from .rns import (
-    ResidueVector,
-    RnsSet,
-    crt_reconstruct,
-    encode_residues,
-    rns_efficiency,
-    rns_range,
-)
+from .rns import RnsSet, crt_reconstruct, encode_residues, rns_efficiency
 from .select import SelectorConfig, select_rns
 
 
 class SimulationError(ValueError):
     """A distributed addition ran but cannot yield a sum."""
-
-
-class RangeOverflowError(SimulationError):
-    """The requested sum does not fit the residue system's range."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +121,8 @@ class DistributedSum:
             if result.top_value is None:
                 raise SimulationError(f"modulus {result.modulus}: modal outcome "
                                       f"{result.top_bits:#x} is not a decodable codeword")
-        residues = tuple([r.top_value for r in self.results])
-        _fill(self, reconstructed=crt_reconstruct(ResidueVector(self.rns, residues)))
+        _fill(self, reconstructed=crt_reconstruct(
+            [r.top_value for r in self.results], self.rns))
 
     @property
     def set_output_probability(self) -> float:
@@ -153,11 +142,10 @@ def plan_jobs(a: int, b: int, rns: RnsSet, shots: int,
               base_seed: int) -> list[ResidueJob]:
     """One job per modulus; residues of a and b, per-job derived seeds."""
     check_shots(shots)
-    a_residues, b_residues = (encode_residues(v, rns).residues for v in (a, b))
-    total_range = rns_range(rns)
-    if a + b >= total_range:
-        raise RangeOverflowError(
-            f"a+b = {a + b} >= range {total_range}; the residue system "
+    a_residues, b_residues = (encode_residues(v, rns) for v in (a, b))
+    if a + b >= rns.range:
+        raise SimulationError(
+            f"a+b = {a + b} >= range {rns.range}; the residue system "
             "wraps silently, so oversized sums are rejected up front"
         )
     jobs = []

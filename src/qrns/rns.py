@@ -21,10 +21,12 @@ def is_pairwise_coprime(moduli: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class RnsSet:
-    """Pairwise-coprime moduli with the adder family serving each one;
-    ``families`` comes from ``family_for_modulus`` and cannot be given."""
+    """Pairwise-coprime moduli with their product ``range`` and the adder
+    family serving each one; ``range`` and ``families`` are derived from
+    the moduli and cannot be given."""
 
     moduli: tuple[int, ...]
+    range: int = field(init=False)
     families: tuple[tuple[AdderFamily, int], ...] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -32,8 +34,10 @@ class RnsSet:
             raise ValueError(f"moduli must be >= 2: {self.moduli}")
         if not is_pairwise_coprime(self.moduli):
             raise ValueError(f"moduli are not pairwise coprime: {self.moduli}")
-        if math.prod(self.moduli) >= RANGE_LIMIT:
+        total_range = math.prod(self.moduli)
+        if total_range >= RANGE_LIMIT:
             raise ValueError(f"range of {self.moduli} is 2^64 or more")
+        object.__setattr__(self, "range", total_range)
         object.__setattr__(self, "families",
                            tuple([family_for_modulus(m) for m in self.moduli]))
 
@@ -45,15 +49,11 @@ class RnsSet:
         return "(" + ", ".join(str(m) for m in self.moduli) + ")"
 
 
-def rns_range(rns: RnsSet) -> int:
-    return math.prod(rns.moduli)
-
-
 def rns_efficiency(rns: RnsSet, k: int) -> Fraction:
     """Range/K as an exact fraction, capped at 1 for over-covering sets."""
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    return min(Fraction(1), Fraction(rns_range(rns), k))
+    return min(Fraction(1), Fraction(rns.range, k))
 
 
 def efficiency_percent(eff: Fraction) -> str:
@@ -62,30 +62,22 @@ def efficiency_percent(eff: Fraction) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class ResidueVector:
-    rns: RnsSet
-    residues: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.residues) != len(self.rns.moduli):
-            raise ValueError("residue count does not match moduli count")
-        for r, m in zip(self.residues, self.rns.moduli):
-            if not 0 <= r < m:
-                raise ValueError(f"residue {r} out of range for modulus {m}")
+def encode_residues(value: int, rns: RnsSet) -> tuple[int, ...]:
+    """The residues of ``value`` in [0, range), one per modulus."""
+    if not 0 <= value < rns.range:
+        raise ValueError(f"operands must lie in [0, {rns.range})")
+    return tuple([value % m for m in rns.moduli])
 
 
-def encode_residues(value: int, rns: RnsSet) -> ResidueVector:
-    if not 0 <= value < rns_range(rns):
-        raise ValueError(f"operands must lie in [0, {rns_range(rns)})")
-    return ResidueVector(rns=rns, residues=tuple([value % m for m in rns.moduli]))
-
-
-def crt_reconstruct(rv: ResidueVector) -> int:
-    """The unique x in [0, range) congruent to every residue."""
-    total_range = rns_range(rv.rns)
+def crt_reconstruct(residues: Sequence[int], rns: RnsSet) -> int:
+    """The unique x in [0, range) congruent to every residue; the inverse
+    of ``encode_residues``."""
+    if len(residues) != len(rns.moduli):
+        raise ValueError("residue count does not match moduli count")
     result = 0
-    for residue, m in zip(rv.residues, rv.rns.moduli):
-        partial = total_range // m
+    for residue, m in zip(residues, rns.moduli):
+        if not 0 <= residue < m:
+            raise ValueError(f"residue {residue} out of range for modulus {m}")
+        partial = rns.range // m
         result += residue * partial * pow(partial, -1, m)
-    return result % total_range
+    return result % rns.range

@@ -17,12 +17,10 @@ from qrns.distributed import MOD_SHOTS, execute_jobs, gain_report, plan_jobs
 from qrns.noise import DEFAULT_NOISE, calibrate_noise, derive_seed, output_probability
 from qrns.resources import resource_report
 from qrns.rns import (
-    ResidueVector,
     RnsSet,
     crt_reconstruct,
     encode_residues,
     rns_efficiency,
-    rns_range,
 )
 from qrns.select import SelectorConfig, select_rns
 
@@ -228,18 +226,16 @@ def test_criterion_08_crt_properties():
     # Exhaustive round trip and homomorphism for every range <= 10^3
     for moduli in ((3, 4, 5), (4, 5, 9), (5, 8, 9), (7, 8, 9)):
         rns = RnsSet.from_moduli(moduli)
-        total = rns_range(rns)
+        total = rns.range
         assert total <= 1000
         for value in range(total):
-            assert crt_reconstruct(encode_residues(value, rns)) == value
+            assert crt_reconstruct(encode_residues(value, rns), rns) == value
         for a in range(0, total, 7):
             ra = encode_residues(a, rns)
             for b in range(0, total, 11):
                 rb = encode_residues(b, rns)
-                summed = ResidueVector(rns, tuple(
-                    (x + y) % m for x, y, m in
-                    zip(ra.residues, rb.residues, rns.moduli)))
-                assert crt_reconstruct(summed) == (a + b) % total
+                summed = [(x + y) % m for x, y, m in zip(ra, rb, rns.moduli)]
+                assert crt_reconstruct(summed, rns) == (a + b) % total
     # Randomized cases on the largest set (range 2520)
     import random
     rng = random.Random(SEED)
@@ -247,9 +243,8 @@ def test_criterion_08_crt_properties():
     for _ in range(10_000):
         a, b = rng.randrange(2520), rng.randrange(2520)
         ra, rb = encode_residues(a, rns), encode_residues(b, rns)
-        summed = ResidueVector(rns, tuple(
-            (x + y) % m for x, y, m in zip(ra.residues, rb.residues, rns.moduli)))
-        assert crt_reconstruct(summed) == (a + b) % 2520
+        summed = [(x + y) % m for x, y, m in zip(ra, rb, rns.moduli)]
+        assert crt_reconstruct(summed, rns) == (a + b) % 2520
     _report("8", "round trip and additive homomorphism, exhaustive small "
                  "ranges plus 10^4 randomized cases at range 2520")
 

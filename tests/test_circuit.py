@@ -457,6 +457,11 @@ def test_text_round_trip_of_random_circuits(circuit):
     (dict(gates=None), "gates None are not a sequence of gates"),
     (dict(registers=None), "registers None are not a sequence of registers"),
     (dict(registers=(Register("A", 5),)), "register A: qubits 5 are not a sequence"),
+    # One-shot iterators are refused before a check could use them up.
+    (dict(gates=(g for g in [(0, 1), (5,)])), "are not a sequence of gates"),
+    (dict(gates=((q for q in (0, 1)),)), "is not a sequence of qubits"),
+    (dict(registers=(Register("A", (q for q in (0, 1))),)), "register A: qubits <generator"),
+    (dict(registers=(5,)), "register 0: 5 is not a Register"),
 ])
 def test_validate_refuses_what_the_text_format_cannot_carry(circuit, message):
     errors = _violations(**{"width": 2, **circuit})

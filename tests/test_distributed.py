@@ -9,7 +9,6 @@ from qrns import distributed
 from qrns.distributed import (
     DistributedSum,
     JobResult,
-    RangeOverflowError,
     SimulationError,
     aggregate,
     distributed_add,
@@ -45,13 +44,17 @@ def test_plan_jobs_zero():
 
 
 def test_plan_jobs_overflow():
-    with pytest.raises(RangeOverflowError):
+    with pytest.raises(SimulationError, match=r"a\+b = 60 >= range 60"):
         plan_jobs(30, 30, RNS345, shots=10, base_seed=1)  # 60 >= range 60
 
 
 def test_plan_jobs_operand_range():
-    with pytest.raises(ValueError):
-        plan_jobs(60, 0, RNS345, shots=10, base_seed=1)
+    # An operand outside [0, range) is bad input, not a SimulationError: the
+    # CLI maps the first to exit 1 and the second to exit 3.
+    for a in (60, -1):
+        with pytest.raises(ValueError, match=r"operands must lie in \[0, 60\)") as excinfo:
+            plan_jobs(a, 0, RNS345, shots=10, base_seed=1)
+        assert not isinstance(excinfo.value, SimulationError)
 
 
 def test_job_seeds_are_distinct_and_stable():
@@ -111,7 +114,6 @@ def test_failed_job_is_isolated():
 
 def test_aggregate_failures_are_simulation_errors():
     assert issubclass(SimulationError, ValueError)
-    assert issubclass(RangeOverflowError, SimulationError)
     results = execute_jobs(plan_jobs(17, 25, RNS345, shots=10, base_seed=1),
                            workers=1, noise=NoiseModel())
     with pytest.raises(SimulationError, match="missing results for moduli"):
@@ -240,14 +242,13 @@ def test_selector_sets_end_to_end_zero_noise():
     import random
 
     from qrns.noise import NoiseModel
-    from qrns.rns import rns_range
     from qrns.select import SelectorConfig, select_rns
 
     rng = random.Random(987)
     zero = NoiseModel()
     for size in range(6, 12):
         rns = select_rns(SelectorConfig(k=2**size))
-        total = rns_range(rns)
+        total = rns.range
         for _ in range(200):
             a = rng.randrange(total)
             b = rng.randrange(total - a)

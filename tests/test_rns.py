@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from qrns.adders import AdderFamily, family_for_modulus
 from qrns.rns import (
-    ResidueVector,
     RnsSet,
     crt_reconstruct,
     efficiency_percent,
     encode_residues,
     is_pairwise_coprime,
     rns_efficiency,
-    rns_range,
 )
 
 
@@ -43,7 +41,7 @@ def test_is_pairwise_coprime(moduli, expected):
     ((7, 8, 9), 504),
 ])
 def test_rns_range(moduli, expected):
-    assert rns_range(RnsSet.from_moduli(moduli)) == expected
+    assert RnsSet.from_moduli(moduli).range == expected
 
 
 def test_rns_range_overflow_detection():
@@ -68,13 +66,17 @@ def test_rns_set_family_tags():
 
 
 def test_rns_set_families_cannot_be_given():
-    # A family that disagrees with the modulus would give a wrong sum with
-    # no error, so families are derived and there is no way to set them.
+    # A family or range that disagrees with the moduli would give a wrong
+    # sum with no error, so both are derived and there is no way to set them.
     wrong = ((AdderFamily.MOD_POW2, 3),) * 3
     with pytest.raises(TypeError, match="families"):
         RnsSet(moduli=(7, 8, 9), families=wrong)
     with pytest.raises(ValueError, match="families"):
         dataclasses.replace(RnsSet((7, 8, 9)), families=wrong)
+    with pytest.raises(TypeError, match="range"):
+        RnsSet((3, 4, 5), range=7)
+    with pytest.raises(ValueError, match="range"):
+        dataclasses.replace(RnsSet((3, 4, 5)), range=7)
 
 
 def test_rns_set_families_follow_the_moduli():
@@ -84,6 +86,7 @@ def test_rns_set_families_follow_the_moduli():
     moved = dataclasses.replace(RnsSet((7, 8, 9)), moduli=(5, 8, 9))
     assert moved == RnsSet.from_moduli((5, 8, 9))
     assert moved.families[0] == family_for_modulus(5)
+    assert moved.range == 360
 
 
 def test_rns_set_refuses_a_modulus_without_an_adder():
@@ -123,7 +126,7 @@ def test_efficiency_monotone_in_k():
     (59, (3, 4, 5), (2, 3, 4)),
 ])
 def test_encode_residues(value, moduli, expected):
-    assert encode_residues(value, RnsSet.from_moduli(moduli)).residues == expected
+    assert encode_residues(value, RnsSet.from_moduli(moduli)) == expected
 
 
 def test_encode_residues_range_check():
@@ -134,38 +137,36 @@ def test_encode_residues_range_check():
         encode_residues(-1, rns)
 
 
-def test_residue_vector_validation():
+def test_crt_reconstruct_validation():
     rns = RnsSet.from_moduli((3, 4, 5))
-    with pytest.raises(ValueError):
-        ResidueVector(rns, (3, 0, 0))
-    with pytest.raises(ValueError):
-        ResidueVector(rns, (0, 0))
+    with pytest.raises(ValueError, match="residue 3 out of range for modulus 3"):
+        crt_reconstruct((3, 0, 0), rns)
+    with pytest.raises(ValueError, match="residue count does not match moduli count"):
+        crt_reconstruct((0, 0), rns)
 
 
 def test_crt_matches_brute_force_oracle():
     rns = RnsSet.from_moduli((3, 4, 5))
-    vector = ResidueVector(rns, (2, 3, 3))
-    assert crt_reconstruct(vector) == brute_force_crt((2, 3, 3), (3, 4, 5)) == 23
-    assert crt_reconstruct(ResidueVector(rns, (0, 2, 2))) == 42
+    assert crt_reconstruct((2, 3, 3), rns) == brute_force_crt((2, 3, 3), (3, 4, 5)) == 23
+    assert crt_reconstruct((0, 2, 2), rns) == 42
 
 
 def test_crt_round_trip_exhaustive_small_ranges():
     for moduli in ((3, 4, 5), (5, 8, 9), (7, 8, 9)):
         rns = RnsSet.from_moduli(moduli)
-        for value in range(rns_range(rns)):
-            assert crt_reconstruct(encode_residues(value, rns)) == value
+        for value in range(rns.range):
+            assert crt_reconstruct(encode_residues(value, rns), rns) == value
 
 
 def test_additive_homomorphism_exhaustive_small():
     rns = RnsSet.from_moduli((3, 4, 5))  # range 60 <= 10^3: all pairs
-    total = rns_range(rns)
+    total = rns.range
     for a in range(total):
         ra = encode_residues(a, rns)
         for b in range(total):
             rb = encode_residues(b, rns)
-            summed = ResidueVector(rns, tuple(
-                (x + y) % m for x, y, m in zip(ra.residues, rb.residues, rns.moduli)))
-            assert crt_reconstruct(summed) == (a + b) % total
+            summed = [(x + y) % m for x, y, m in zip(ra, rb, rns.moduli)]
+            assert crt_reconstruct(summed, rns) == (a + b) % total
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,13 +174,12 @@ def test_additive_homomorphism_exhaustive_small():
 def test_additive_homomorphism_random_large(a, b):
     rns = RnsSet.from_moduli((5, 7, 8, 9))  # range 2520
     ra, rb = encode_residues(a, rns), encode_residues(b, rns)
-    summed = ResidueVector(rns, tuple(
-        (x + y) % m for x, y, m in zip(ra.residues, rb.residues, rns.moduli)))
-    assert crt_reconstruct(summed) == (a + b) % 2520
+    summed = [(x + y) % m for x, y, m in zip(ra, rb, rns.moduli)]
+    assert crt_reconstruct(summed, rns) == (a + b) % 2520
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2519))
 def test_crt_round_trip_random_large(value):
     rns = RnsSet.from_moduli((5, 7, 8, 9))
-    assert crt_reconstruct(encode_residues(value, rns)) == value
+    assert crt_reconstruct(encode_residues(value, rns), rns) == value

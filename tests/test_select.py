@@ -10,7 +10,7 @@ from qrns import select
 from qrns.adders import build_adder, family_for_modulus
 from qrns.reference import MODULI_ROWS
 from qrns.resources import resource_report
-from qrns.rns import RANGE_LIMIT, rns_range
+from qrns.rns import RANGE_LIMIT
 from qrns.select import (
     C_CEILING,
     SelectionError,
@@ -139,7 +139,7 @@ def test_output_always_meets_constraint():
                 rns = select_rns(SelectorConfig(k=k, efficiency=eff))
             except SelectionError:
                 continue
-            assert rns_range(rns) >= eff * k
+            assert rns.range >= eff * k
             for a, b in itertools.combinations(rns.moduli, 2):
                 assert math.gcd(a, b) == 1
 
@@ -152,7 +152,7 @@ def test_raising_efficiency_never_lowers_range():
                 r2 = select_rns(SelectorConfig(k=k, efficiency=e2))
             except SelectionError:
                 continue
-            assert rns_range(r2) >= rns_range(r1)
+            assert r2.range >= r1.range
 
 
 def test_winner_depth_dominates_same_coverage_class():
@@ -173,7 +173,7 @@ def test_infeasible_selection_raises_with_constraint():
 
 def test_larger_pool_feasible_for_huge_k():
     rns = select_rns(SelectorConfig(k=2**12, max_n=4))
-    assert rns_range(rns) >= 0.9 * 2**12
+    assert rns.range >= 0.9 * 2**12
 
 
 # --- the depth-first search against a brute-force reference ---------------
@@ -244,7 +244,7 @@ def test_sets_reaching_2_64_do_not_qualify():
     assert trace.candidates
     assert all(c.range < RANGE_LIMIT and not c.full_coverage
                for c in trace.candidates)
-    assert cfg.threshold <= rns_range(select_rns(cfg)) < RANGE_LIMIT
+    assert cfg.threshold <= select_rns(cfg).range < RANGE_LIMIT
 
 
 def test_infeasible_beyond_2_64_names_the_limit():
